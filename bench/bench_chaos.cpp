@@ -258,17 +258,24 @@ int main(int argc, char** argv) {
   flags.define_duration("horizon", 120.0, "fault window length", 1.0, 86400.0);
   flags.define_int("prefixes", 12, "originations sampled from the assignment",
                    1, 1 << 20);
-  flags.define("mrai", "5", "MRAI (sim seconds; small keeps recovery sharp)");
-  flags.define("restore-prob", "0.6", "P(failed link/node gets restored)");
-  flags.define("node-fault-prob", "0.2", "P(event downs a whole node)");
-  flags.define("origin-flap-prob", "0.15", "P(event flaps an origination)");
-  flags.define("msg-loss", "0", "P(update dropped and retransmitted)");
-  flags.define("msg-dup", "0", "P(update delivered twice)");
-  flags.define("msg-delay-prob", "0", "P(update gets extra one-way delay)");
+  flags.define_double("mrai", 5, "MRAI (sim seconds; small keeps recovery sharp)",
+                      0);
+  flags.define_double("restore-prob", 0.6, "P(failed link/node gets restored)",
+                      0, 1);
+  flags.define_double("node-fault-prob", 0.2, "P(event downs a whole node)", 0,
+                      1);
+  flags.define_double("origin-flap-prob", 0.15,
+                      "P(event flaps an origination)", 0, 1);
+  flags.define_double("msg-loss", 0, "P(update dropped and retransmitted)", 0,
+                      1);
+  flags.define_double("msg-dup", 0, "P(update delivered twice)", 0, 1);
+  flags.define_double("msg-delay-prob", 0, "P(update gets extra one-way delay)",
+                      0, 1);
   flags.define("crash", "false",
                "enable the peering-session layer and node crash/restart "
                "events in the fault schedules");
-  flags.define("crash-prob", "0.3", "P(event crashes a node; needs --crash)");
+  flags.define_double("crash-prob", 0.3,
+                      "P(event crashes a node; needs --crash)", 0, 1);
   flags.define("graceful-restart", "true",
                "RFC 4724-style stale-route retention on peer crash");
   flags.define_duration("hold-time", 10.0, "session hold timer", 0.001, 3600.0);

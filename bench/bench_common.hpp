@@ -5,7 +5,9 @@
 // configuration line.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
@@ -16,7 +18,6 @@
 #include "exec/parallel.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "obs/span.hpp"
 #include "obs/trace_export.hpp"
 #include "topology/cleaner.hpp"
@@ -107,19 +108,53 @@ inline void define_obs_flags(util::Flags& flags) {
   flags.define("metrics-json", "",
                "write the metrics registry as JSON to this path");
   flags.define("profile", "false",
-               "time election/trie/flush scopes; summary on exit");
+               "also time election/trie/flush scopes; span-site table on "
+               "exit");
   flags.define("span-trace", "",
                "write a Chrome trace-event JSON of execution spans to this "
                "path (load in Perfetto / chrome://tracing; analyze with "
                "tools/trace_report.py)");
 }
 
+/// Prints obs::span_site_totals() to stderr as one table (calls, total,
+/// mean per site), busiest first: the --profile at-exit summary.  Ring
+/// spans and totals-only sites share the table.  Prints nothing when no
+/// site ran.
+inline void print_span_site_totals() {
+  auto rows = obs::span_site_totals();
+  if (rows.empty()) return;
+  std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
+    return a.total_ns > b.total_ns;
+  });
+  std::vector<std::string> names;
+  std::size_t width = 4;
+  for (const auto& row : rows) {
+    names.push_back(std::string(row.category) + "." + row.name);
+    width = std::max(width, names.back().size());
+  }
+  std::fprintf(stderr, "-- profile (wall clock) --\n%-*s %12s %12s %10s\n",
+               static_cast<int>(width), "site", "calls", "total_ms",
+               "mean_us");
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const double ns = static_cast<double>(rows[i].total_ns);
+    std::fprintf(stderr, "%-*s %12llu %12.3f %10.3f\n",
+                 static_cast<int>(width), names[i].c_str(),
+                 static_cast<unsigned long long>(rows[i].calls), ns / 1e6,
+                 ns / (1e3 * static_cast<double>(rows[i].calls)));
+  }
+}
+
 /// Applies the parsed observability flags (call once after parse).  Span
 /// recording is always armed — the per-span cost is two steady-clock reads
 /// and a ring store, and keeping it on in every bench run is what lets
 /// tools/bench_gate.py enforce the "within noise" overhead contract.
+/// --profile additionally arms the totals-only sites and registers the
+/// at-exit table.
 inline void apply_obs_flags(const util::Flags& flags) {
-  if (flags.boolean("profile")) obs::profiling_enable(true);
+  if (flags.boolean("profile")) {
+    obs::span_totals_enable(true);
+    std::atexit(print_span_site_totals);
+  }
   obs::span_enable(true);
   obs::span_set_thread_name("main");
 }

@@ -7,9 +7,7 @@
 // into an LpmTable, and serve --queries batched LPM lookups per table
 // from the exec:: thread pool.  Both phases replay the *same* query
 // stream (same QueryGen + seed), so the measured difference is the
-// table, not the traffic.  A final hot-swap phase republishes tables
-// while readers serve, exercising the epoch retire/reclaim path that
-// tsan-dataplane-smoke runs under TSan.
+// table, not the traffic.
 //
 // `--metrics-json` writes the dataplane.* gauges the perf gate compares
 // against bench/BENCH_dataplane.json (see bench/README.md for the
@@ -17,14 +15,12 @@
 //   dataplane.lookup_ns_per_query.{pre,post}   (lower is better)
 //   dataplane.compile_ms.{pre,post}
 //   dataplane.table_bytes.{pre,post}
-// plus the dragon.dataplane.* registry of the hot-swap server (swap
-// count, bucket depth histogram, reclaim latencies).
+// plus the dragon.dataplane.* shape of the busiest node's post-DRAGON
+// table (bytes, entries, palette, buckets, bucket depth histogram).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <future>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "addressing/assignment.hpp"
@@ -32,7 +28,8 @@
 #include "bench_common.hpp"
 #include "chaos/watchdog.hpp"
 #include "dataplane/compiler.hpp"
-#include "dataplane/lookup_server.hpp"
+#include "dataplane/lpm_table.hpp"
+#include "dataplane/serve.hpp"
 #include "engine/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -72,16 +69,23 @@ int main(int argc, char** argv) {
   flags.define_int("queries", 2'000'000,
                    "LPM queries per serving phase (per node, per table)", 1,
                    std::int64_t{1} << 40);
-  flags.define_int("swaps", 50, "hot-swap cycles in the swap phase", 0,
-                   1 << 20);
   flags.define_int("serve-nodes", 3,
                    "serving nodes (the busiest pre-DRAGON FIBs)", 1, 1 << 16);
   flags.define_int("top-bits", 16, "LpmTable root index width (8/16/24)", 8,
                    24);
-  flags.define("zipf-s", "1.0", "Zipf skew of the query mix (0: uniform)");
-  flags.define("miss-fraction", "0.05",
-               "fraction of queries drawn over the whole address space");
+  flags.define_double("zipf-s", 1.0, "Zipf skew of the query mix (0: uniform)",
+                      0);
+  flags.define_double("miss-fraction", 0.05,
+                      "fraction of queries drawn over the whole address space",
+                      0, 1);
   if (!flags.parse(argc, argv)) return 1;
+  // The flag's integer range admits widths LpmTable::compile rejects.
+  const int top_bits = static_cast<int>(flags.i64("top-bits"));
+  if (top_bits != 8 && top_bits != 16 && top_bits != 24) {
+    std::fprintf(stderr, "flag --top-bits: invalid value %d (expected 8, 16 "
+                 "or 24)\n", top_bits);
+    return 1;
+  }
   flags.print_config("bench_dataplane");
   bench::apply_obs_flags(flags);
   auto pool = bench::make_thread_pool(flags);
@@ -145,8 +149,7 @@ int main(int argc, char** argv) {
     serve_nodes.assign(all.begin(), all.begin() + static_cast<long>(want));
   }
 
-  const int top_bits = static_cast<int>(flags.i64("top-bits"));
-  const dataplane::FibCompiler compiler{{top_bits}};
+  const dataplane::LpmConfig layout{top_bits};
   dataplane::QueryMix mix;
   const double zipf_s = flags.f64("zipf-s");
   mix.kind = zipf_s > 0.0 ? dataplane::QueryMix::Kind::kZipf
@@ -161,25 +164,26 @@ int main(int argc, char** argv) {
   // ns/query delta is attributable to table size/shape alone.
   PhaseResult results[2];  // [0] = pre, [1] = post
   const char* const phase_names[2] = {"pre", "post"};
+  // The busiest node's post-DRAGON table shape, exported as the
+  // dragon.dataplane.* section.
+  dataplane::LpmStats busiest_post;
   for (const NodeId u : serve_nodes) {
     const dataplane::QueryGen gen(pre[u], mix);
     for (int phase = 0; phase < 2; ++phase) {
       const fibcomp::Fib& fib = phase == 0 ? pre[u] : post[u];
       const double t0 = now_ms();
-      auto table = compiler.compile(fib);
+      const auto table = dataplane::LpmTable::compile(fib, layout);
       const double compile_ms = now_ms() - t0;
-
-      dataplane::LookupServer server(
-          {/*max_readers=*/threads + exec::kDefaultChunks,
-           /*pin_batch=*/4096});
-      results[phase].entries += table->stats().entries;
-      results[phase].table_bytes += table->stats().table_bytes;
+      results[phase].entries += table.stats().entries;
+      results[phase].table_bytes += table.stats().table_bytes;
       results[phase].compile_ms += compile_ms;
-      server.publish(std::move(table));
+      if (phase == 1 && u == serve_nodes.front()) {
+        busiest_post = table.stats();
+      }
 
       const double s0 = now_ms();
-      const auto batch = server.serve_parallel(
-          pool.get(), gen, /*seed=*/scenario.trial_seed ^ u, queries);
+      const auto batch = dataplane::serve(
+          table, gen, pool.get(), /*seed=*/scenario.trial_seed ^ u, queries);
       const double serve_ms = now_ms() - s0;
       results[phase].lookup_ns_per_query +=
           1e6 * serve_ms / static_cast<double>(queries);
@@ -192,48 +196,6 @@ int main(int argc, char** argv) {
     r.compile_ms /= n_serve;
     r.lookup_ns_per_query /= n_serve;
   }
-
-  // --- Hot-swap phase: readers serve while tables republish ----------------
-  // Exercises the epoch retire/reclaim machinery under real concurrency
-  // (the tsan-dataplane-smoke workload) and fills the dragon.dataplane.*
-  // registry section.
-  const NodeId hot = serve_nodes.front();
-  dataplane::LookupServer hot_server(
-      {/*max_readers=*/threads + 4, /*pin_batch=*/1024});
-  hot_server.publish(compiler.compile(post[hot]));
-  const dataplane::QueryGen hot_gen(pre[hot], mix);
-  const std::uint64_t swaps = flags.u64("swaps");
-  const std::uint64_t swap_queries = std::max<std::uint64_t>(queries / 10, 1);
-  if (pool != nullptr && swaps > 0) {
-    std::vector<std::future<dataplane::BatchResult>> served;
-    std::vector<std::promise<dataplane::BatchResult>> promises(pool->size());
-    for (std::size_t w = 0; w < pool->size(); ++w) {
-      auto* promise = &promises[w];
-      served.push_back(promise->get_future());
-      const std::uint64_t seed = scenario.trial_seed + 1000 + w;
-      pool->submit([&hot_server, &hot_gen, promise, seed, swap_queries] {
-        promise->set_value(
-            hot_server.serve(hot_gen, util::Rng(seed), swap_queries));
-      });
-    }
-    for (std::uint64_t s = 0; s < swaps; ++s) {
-      hot_server.publish(
-          compiler.compile(s % 2 == 0 ? pre[hot] : post[hot]));
-      hot_server.reclaim();
-      std::this_thread::yield();
-    }
-    for (auto& f : served) hot_server.note_served(f.get());
-  } else {
-    for (std::uint64_t s = 0; s < swaps; ++s) {
-      hot_server.publish(
-          compiler.compile(s % 2 == 0 ? pre[hot] : post[hot]));
-      hot_server.note_served(hot_server.serve(
-          hot_gen, util::Rng(scenario.trial_seed + 1000 + s),
-          std::max<std::uint64_t>(swap_queries / swaps, 1)));
-      hot_server.reclaim();
-    }
-  }
-  const std::size_t outstanding = hot_server.reclaim();
 
   // --- Report ---------------------------------------------------------------
   std::printf("\n%-26s %14s %14s %10s\n", "metric", "pre-DRAGON", "post-DRAGON",
@@ -251,8 +213,6 @@ int main(int argc, char** argv) {
       results[1].lookup_ns_per_query);
   row("Mlookups/s (mean)", 1000.0 / results[0].lookup_ns_per_query,
       1000.0 / results[1].lookup_ns_per_query);
-  std::printf("# hot-swap: %zu publishes, %zu retired tables outstanding\n",
-              hot_server.publish_count(), outstanding);
 
   if (!flags.str("metrics-json").empty()) {
     obs::MetricsRegistry reg;
@@ -267,7 +227,20 @@ int main(int argc, char** argv) {
       reg.counter("dataplane.hits" + suffix)->set(results[phase].hits);
       reg.counter("dataplane.lookups" + suffix)->set(results[phase].lookups);
     }
-    hot_server.export_metrics(reg);
+    const auto& b = busiest_post;
+    reg.gauge("dragon.dataplane.table_bytes")
+        ->set(static_cast<double>(b.table_bytes));
+    reg.gauge("dragon.dataplane.entries")->set(static_cast<double>(b.entries));
+    reg.gauge("dragon.dataplane.palette_size")
+        ->set(static_cast<double>(b.palette_size));
+    reg.gauge("dragon.dataplane.bucket_count")
+        ->set(static_cast<double>(b.bucket_count));
+    auto* depth = reg.histogram("dragon.dataplane.bucket_depth");
+    for (std::size_t d = 0; d < b.bucket_depth_hist.size(); ++d) {
+      for (std::size_t n = 0; n < b.bucket_depth_hist[d]; ++n) {
+        depth->observe(d + 1);
+      }
+    }
     bench::write_metrics_json(
         flags.str("metrics-json"), {{"dataplane", &reg}},
         bench::run_meta_json("bench_dataplane", flags.u64("seed"), threads));

@@ -19,8 +19,9 @@ int main(int argc, char** argv) {
   using namespace dragon;
   util::Flags flags;
   bench::define_scenario_flags(flags);
-  flags.define("anomaly-rate", "0.06",
-               "fraction of announcements that are dataset anomalies");
+  flags.define_double("anomaly-rate", 0.06,
+                      "fraction of announcements that are dataset anomalies",
+                      0, 1);
   if (!flags.parse(argc, argv)) return 1;
   flags.print_config("bench_dataset");
 

@@ -14,6 +14,7 @@
 //     one order of magnitude.
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -103,8 +104,10 @@ int main(int argc, char** argv) {
                "write the DRAGON trials' structured event trace (JSONL) here");
   flags.define("timeline-file", "",
                "write per-trial convergence time series (JSONL) here");
-  flags.define("timeline-dt", "10",
-               "timeline sampling cadence in sim seconds");
+  flags.define_double("timeline-dt", 10,
+                      "timeline sampling cadence in sim seconds", 0,
+                      std::numeric_limits<double>::infinity(),
+                      /*min_exclusive=*/true);
   if (!flags.parse(argc, argv)) return 1;
   flags.print_config("bench_fig9_convergence");
   bench::apply_obs_flags(flags);

@@ -21,7 +21,7 @@
 #include "algebra/gr_path_algebra.hpp"
 #include "bench_common.hpp"
 #include "chaos/watchdog.hpp"
-#include "dataplane/lookup_server.hpp"
+#include "dataplane/serve.hpp"
 #include "dataplane/lpm_table.hpp"
 #include "engine/rib.hpp"
 #include "engine/simulator.hpp"
@@ -290,7 +290,7 @@ BENCHMARK(BM_DataplaneLookup)
     ->Args({10000, 1})
     ->Args({100000, 1});
 
-// FIB -> LpmTable compilation (the control-plane cost of a hot-swap).
+// FIB -> LpmTable compilation (the control-plane cost of installing a FIB).
 void BM_FibCompile(benchmark::State& state) {
   const auto prefixes =
       random_prefixes(static_cast<std::size_t>(state.range(0)), 24);

@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
                    1, 1 << 20);
   flags.define_int("burst", 2, "correlated-burst size", 1, 1 << 20);
   flags.define_duration("horizon", 120.0, "fault window length", 1.0, 86400.0);
-  flags.define("mrai", "5", "MRAI (sim seconds)");
+  flags.define_double("mrai", 5, "MRAI (sim seconds)", 0);
   flags.define("trace-file", "",
                "write the structured event trace (JSONL) here; forces a "
                "sequential single-entry sweep (--threads-list 1)");

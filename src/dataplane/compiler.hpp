@@ -4,7 +4,7 @@
 // forwarding state out of a (quiescent) Simulator as a fibcomp::Fib —
 // next hops resolved exactly like Simulator::trace() resolves them, so
 // the compiled table forwards identically to the simulated node — then
-// flatten it into an immutable LpmTable ready for EpochPublished.
+// flatten it into an immutable LpmTable with LpmTable::compile.
 //
 // Two snapshot kinds make DRAGON's payoff measurable: kPostDragon is the
 // real FIB (elected, not filtered); kPreDragon additionally keeps the
@@ -13,7 +13,6 @@
 // lookups/sec.
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "dataplane/lpm_table.hpp"
@@ -40,29 +39,5 @@ enum class SnapshotKind {
 /// by node id).  What bench_dataplane uses to pick its serving nodes.
 [[nodiscard]] std::vector<fibcomp::Fib> fibs_from_simulator(
     const engine::Simulator& sim, SnapshotKind kind);
-
-/// Snapshot-to-table pipeline with a fixed layout config.  compile()
-/// returns the unique_ptr<const LpmTable> shape EpochPublished::publish
-/// consumes, so "recompile and hot-swap node u" is two lines.
-class FibCompiler {
- public:
-  explicit FibCompiler(LpmConfig config = {}) : config_(config) {}
-
-  [[nodiscard]] std::unique_ptr<const LpmTable> compile(
-      const fibcomp::Fib& fib) const {
-    return std::make_unique<const LpmTable>(LpmTable::compile(fib, config_));
-  }
-
-  [[nodiscard]] std::unique_ptr<const LpmTable> compile_node(
-      const engine::Simulator& sim, engine::Simulator::NodeId node,
-      SnapshotKind kind) const {
-    return compile(fib_from_simulator(sim, node, kind));
-  }
-
-  [[nodiscard]] const LpmConfig& config() const noexcept { return config_; }
-
- private:
-  LpmConfig config_;
-};
 
 }  // namespace dragon::dataplane

@@ -18,9 +18,8 @@
 // keep the full fibcomp::NextHop space including kDrop/kLocal sentinels.
 //
 // Tables are immutable after compile() — lookup() is const, data-race-free
-// by construction, and safe to share across any number of reader threads.
-// Mutation is replacement: compile a new table and publish it through
-// dataplane::EpochPublished (epoch.hpp).
+// by construction, and safe to share across any number of reader threads
+// (dataplane::serve hands one const table to every pool worker).
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,6 @@
 #include "engine/node.hpp"
 
-#include "obs/profile.hpp"
+#include "obs/span.hpp"
 
 namespace dragon::engine {
 
@@ -8,7 +8,7 @@ using algebra::Attr;
 using algebra::kUnreachable;
 
 Attr NodeState::elect(const algebra::Algebra& alg, prefix::PrefixId id) {
-  DRAGON_PROF_SCOPE("engine.elect");
+  DRAGON_SPAN_TOTALS("engine", "elect");
   RouteEntry& entry = route(id);
   Attr best = kUnreachable;
   if (entry.originated && !entry.origin_paused) best = entry.origin_attr;

@@ -4,7 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "obs/profile.hpp"
 #include "obs/span.hpp"
 #include "util/log.hpp"
 
@@ -951,7 +950,7 @@ void Simulator::try_flush(NodeId u, NodeId v) {
 }
 
 void Simulator::flush_now(NodeId u, NodeId v) {
-  DRAGON_PROF_SCOPE("engine.flush");
+  DRAGON_SPAN_TOTALS("engine", "flush");
   if (config_.session.enabled &&
       (!channel_up(u, v) || restart_deferred(u))) {
     return;  // the channel moved under a scheduled MRAI flush

@@ -11,6 +11,7 @@ namespace dragon::obs {
 namespace {
 
 std::atomic<bool> g_span_enabled{false};
+std::atomic<bool> g_span_totals_enabled{false};
 std::atomic<SpanSite*> g_span_sites{nullptr};
 
 /// Buffer registry.  Heap-allocated and deliberately leaked: worker
@@ -50,6 +51,14 @@ void span_enable(bool on) {
 
 bool span_enabled() noexcept {
   return g_span_enabled.load(std::memory_order_relaxed);
+}
+
+void span_totals_enable(bool on) {
+  g_span_totals_enabled.store(on, std::memory_order_relaxed);
+}
+
+bool span_totals_enabled() noexcept {
+  return g_span_totals_enabled.load(std::memory_order_relaxed);
 }
 
 std::uint64_t span_now_ns() noexcept {

@@ -15,15 +15,21 @@
 //   * Static span sites.  DRAGON_SPAN declares a function-local static
 //     SpanSite carrying the category/name/arg-key string literals plus
 //     atomic {calls, total_ns} accumulators, registered on a global
-//     intrusive list at first pass (same idiom as obs/profile.hpp).
+//     intrusive list when the site's static is first initialised.
 //     Site totals are exact even after rings wrap, which is what the
 //     benches stamp into their metrics artifacts.
+//   * Totals-only sites.  DRAGON_SPAN_TOTALS adds calls and wall ns to
+//     its site with no ring record and no CPU-clock read, for scopes too
+//     hot or too numerous to ring (election, MRAI flush, trie walks).
+//     They are armed by span_totals_enable, separately from ring spans,
+//     so benches that always record spans do not pay for them.
 //   * Steady-clock timestamps relative to one process-wide epoch, so
 //     spans from different threads merge onto a single timeline.
 //   * Disabled cost: one relaxed atomic load and a branch per scope
-//     (span_enable(false), the default).  Compiled-out cost: zero — the
-//     DRAGON_SPAN macros expand to nothing under -DDRAGON_TRACE=0, the
-//     same switch that removes DRAGON_TRACE_EVENT.
+//     (span_enable(false) / span_totals_enable(false), the defaults).
+//     Compiled-out cost: zero — the DRAGON_SPAN macros expand to nothing
+//     under -DDRAGON_TRACE=0, the same switch that removes
+//     DRAGON_TRACE_EVENT.
 //
 // Reader contract: span_collect(), span_reset(), and the export layer
 // (obs/trace_export.hpp) read ring contents non-atomically and must only
@@ -53,6 +59,11 @@ namespace dragon::obs {
 /// only when recording is already on.
 void span_enable(bool on);
 [[nodiscard]] bool span_enabled() noexcept;
+
+/// Arms/disarms the totals-only sites (DRAGON_SPAN_TOTALS) process-wide;
+/// the benches' --profile flag.  Independent of span_enable.
+void span_totals_enable(bool on);
+[[nodiscard]] bool span_totals_enabled() noexcept;
 
 /// Nanoseconds since the process-wide span epoch (steady clock; the
 /// epoch is captured on first use, so all values are small positives).
@@ -186,7 +197,8 @@ struct SpanSiteTotals {
   std::uint64_t calls = 0;
   std::uint64_t total_ns = 0;
   /// Thread CPU time across all calls; total_ns - cpu_ns is time spent
-  /// descheduled (or blocked) inside the span.
+  /// descheduled (or blocked) inside the span.  Always 0 for totals-only
+  /// sites, which read no CPU clock.
   std::uint64_t cpu_ns = 0;
 };
 [[nodiscard]] std::vector<SpanSiteTotals> span_site_totals();
@@ -240,6 +252,34 @@ class SpanScope {
   std::uint64_t start_ = 0;
   std::uint64_t cpu_start_ = 0;
   std::uint64_t args_[3] = {0, 0, 0};
+};
+
+/// RAII guard of a totals-only site: while span_totals_enabled(), adds
+/// one call and the scope's wall-clock duration to the site accumulators.
+/// Pushes no ring record and reads no CPU clock, so the site's cpu_ns
+/// stays 0.
+class SpanTotalsScope {
+ public:
+  explicit SpanTotalsScope(SpanSite& site) noexcept {
+    if (span_totals_enabled()) {
+      site_ = &site;
+      start_ = span_now_ns();
+    }
+  }
+
+  ~SpanTotalsScope() {
+    if (site_ == nullptr) return;
+    site_->calls.fetch_add(1, std::memory_order_relaxed);
+    site_->total_ns.fetch_add(span_now_ns() - start_,
+                              std::memory_order_relaxed);
+  }
+
+  SpanTotalsScope(const SpanTotalsScope&) = delete;
+  SpanTotalsScope& operator=(const SpanTotalsScope&) = delete;
+
+ private:
+  SpanSite* site_ = nullptr;
+  std::uint64_t start_ = 0;
 };
 
 /// No-op stand-in DRAGON_SPAN_NAMED expands to when the instrumentation
@@ -300,6 +340,16 @@ struct SpanScopeNoop {
   ::dragon::obs::SpanScope var(                                           \
       DRAGON_SPAN_CONCAT(dragon_span_site_, __LINE__))
 
+/// Declares a static totals-only site and its guard for the enclosing
+/// scope (see SpanTotalsScope).  Same literal conventions as DRAGON_SPAN.
+#define DRAGON_SPAN_TOTALS(category, name)                               \
+  static ::dragon::obs::SpanSite DRAGON_SPAN_CONCAT(dragon_span_site_,   \
+                                                    __LINE__){category,  \
+                                                              name};     \
+  ::dragon::obs::SpanTotalsScope DRAGON_SPAN_CONCAT(dragon_span_scope_,  \
+                                                    __LINE__)(           \
+      DRAGON_SPAN_CONCAT(dragon_span_site_, __LINE__))
+
 #else
 
 #define DRAGON_SPAN(category, name) \
@@ -314,5 +364,8 @@ struct SpanScopeNoop {
   } while (0)
 #define DRAGON_SPAN_NAMED(var, category, name, key0) \
   [[maybe_unused]] ::dragon::obs::SpanScopeNoop var
+#define DRAGON_SPAN_TOTALS(category, name) \
+  do {                                     \
+  } while (0)
 
 #endif  // DRAGON_TRACE

@@ -1,6 +1,7 @@
 #include "util/flags.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -18,6 +19,20 @@ std::optional<std::int64_t> parse_i64(const std::string& s) {
   const long long v = std::strtoll(s.c_str(), &end, 10);
   if (errno == ERANGE || end != s.c_str() + s.size()) return std::nullopt;
   return static_cast<std::int64_t>(v);
+}
+
+/// Strict floating-point parse: the whole string must be consumed and the
+/// value must be finite (strtod alone would accept "nan", "inf" and a
+/// numeric prefix of "1x").
+std::optional<double> parse_f64(const std::string& s) {
+  if (s.empty()) return std::nullopt;
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (errno == ERANGE || end != s.c_str() + s.size() || !std::isfinite(v)) {
+    return std::nullopt;
+  }
+  return v;
 }
 
 /// Strict duration parse: a non-negative decimal number immediately
@@ -80,6 +95,22 @@ void Flags::define_int(std::string name, std::int64_t default_value,
   e.is_int = true;
   e.min = min;
   e.max = max;
+  entries_.insert_or_assign(std::move(name), std::move(e));
+}
+
+void Flags::define_double(std::string name, double default_value,
+                          std::string help, double min, double max,
+                          bool min_exclusive) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%g", default_value);
+  Entry e;
+  e.value = buf;
+  e.default_value = e.value;
+  e.help = std::move(help);
+  e.is_double = true;
+  e.min_double = min;
+  e.max_double = max;
+  e.min_exclusive = min_exclusive;
   entries_.insert_or_assign(std::move(name), std::move(e));
 }
 
@@ -154,6 +185,19 @@ bool Flags::parse(int argc, char** argv) {
                      name.c_str(), value.c_str(),
                      static_cast<long long>(it->second.min),
                      static_cast<long long>(it->second.max));
+        return false;
+      }
+    }
+    if (it->second.is_double) {
+      const Entry& e = it->second;
+      const auto parsed = parse_f64(value);
+      if (!parsed || *parsed < e.min_double || *parsed > e.max_double ||
+          (e.min_exclusive && *parsed == e.min_double)) {
+        std::fprintf(stderr,
+                     "flag --%s: invalid value '%s' (expected number in "
+                     "%c%g, %g])\n",
+                     name.c_str(), value.c_str(), e.min_exclusive ? '(' : '[',
+                     e.min_double, e.max_double);
         return false;
       }
     }

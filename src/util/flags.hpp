@@ -31,6 +31,17 @@ class Flags {
                   std::int64_t min = std::numeric_limits<std::int64_t>::min(),
                   std::int64_t max = std::numeric_limits<std::int64_t>::max());
 
+  /// Declares a floating-point flag validated at parse time: the value
+  /// must be a complete finite decimal number inside [min, max] — or
+  /// (min, max] when `min_exclusive` — anything else (garbage, trailing
+  /// junk, nan/inf, out-of-range) is a hard parse error naming the flag
+  /// and the accepted range.
+  void define_double(std::string name, double default_value,
+                     std::string help,
+                     double min = -std::numeric_limits<double>::infinity(),
+                     double max = std::numeric_limits<double>::infinity(),
+                     bool min_exclusive = false);
+
   /// Declares a duration flag validated at parse time.  Values are a
   /// non-negative decimal number with a mandatory unit suffix — `ms`, `s`,
   /// `m`, or `h` (e.g. `--hold-time 90s`, `--restart-window 2m`,
@@ -69,6 +80,11 @@ class Flags {
     bool is_int = false;
     std::int64_t min = 0;
     std::int64_t max = 0;
+    /// Floating-point flags carry their accepted range.
+    bool is_double = false;
+    double min_double = 0.0;
+    double max_double = 0.0;
+    bool min_exclusive = false;
     /// Duration flags carry a range in seconds (value strings keep the
     /// unit suffix; seconds() normalises on read).
     bool is_duration = false;

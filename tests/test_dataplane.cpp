@@ -1,21 +1,16 @@
-// Data-plane serving layer tests (the `dataplane_smoke` ctest target):
-// compiled-table-vs-trie differential oracle across compile/swap cycles,
-// the epoch pin/retire/reclaim contract, concurrent readers during
-// hot-swap (what the tsan-dataplane-smoke preset builds), parallel-serve
-// determinism, and first-hop equivalence against Simulator::trace().
+// Data-plane tests (the `dataplane_smoke` ctest target): compiled-table-
+// vs-trie differential oracle across seeded compiles, parallel serving of
+// one shared const table (what the tsan-dataplane-smoke preset builds),
+// query-mix coverage, and first-hop equivalence against
+// Simulator::trace().
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
-#include <future>
-#include <thread>
 #include <vector>
 
 #include "algebra/gr_path_algebra.hpp"
 #include "dataplane/compiler.hpp"
-#include "dataplane/epoch.hpp"
-#include "dataplane/lookup_server.hpp"
 #include "dataplane/lpm_table.hpp"
+#include "dataplane/serve.hpp"
 #include "engine/simulator.hpp"
 #include "exec/thread_pool.hpp"
 #include "paper_networks.hpp"
@@ -168,139 +163,22 @@ TEST(DataplaneSmoke, CompileRejectsUndefinedSentinelNextHops) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential oracle across >= 100 seeded compile/swap cycles
+// Differential oracle across >= 100 seeded compiles
 // ---------------------------------------------------------------------------
 
 TEST(DataplaneSmoke, DifferentialOracleAcrossCompileSwapCycles) {
-  LookupServer server({/*max_readers=*/4, /*pin_batch=*/64});
   util::Rng rng(20260808);
   for (int cycle = 0; cycle < 110; ++cycle) {
     const std::size_t entries = 20 + rng.below(60);
     const Fib fib = random_fib(rng, entries);
     const int top_bits = rng.chance(0.5) ? 8 : 16;
-    FibCompiler compiler{{top_bits}};
-    server.publish(compiler.compile(fib));
-    ASSERT_NE(server.current(), nullptr);
-    expect_matches_trie(*server.current(), fib, rng, 200);
+    const auto table = LpmTable::compile(fib, {top_bits});
+    expect_matches_trie(table, fib, rng, 200);
   }
-  // No readers are pinned: every retired table must drain.
-  EXPECT_EQ(server.reclaim(), 0u);
-  EXPECT_EQ(server.publish_count(), 110u);
 }
 
 // ---------------------------------------------------------------------------
-// Epoch pin/retire/reclaim contract
-// ---------------------------------------------------------------------------
-
-TEST(DataplaneSmoke, ReclaimDeferredWhileReaderPinned) {
-  EpochDomain domain(2);
-  EpochPublished<int> published(domain);
-  published.publish(std::make_unique<const int>(1));
-
-  EpochReader reader(domain);
-  reader.pin();
-  const int* seen = published.read();
-  ASSERT_NE(seen, nullptr);
-  EXPECT_EQ(*seen, 1);
-
-  // Swap while the reader is pinned: the old table retires but must not
-  // be freed (the reader's pin predates the epoch advance).
-  published.publish(std::make_unique<const int>(2));
-  EXPECT_EQ(published.retired_count(), 1u);
-  EXPECT_EQ(published.reclaim().freed, 0u);
-  EXPECT_EQ(*seen, 1);  // still alive (ASan would flag a stale read)
-
-  // Re-pinning moves the reader past the retire epoch: now it drains.
-  reader.pin();
-  EXPECT_EQ(*published.read(), 2);
-  const ReclaimStats stats = published.reclaim();
-  EXPECT_EQ(stats.freed, 1u);
-  EXPECT_EQ(stats.outstanding, 0u);
-
-  reader.unpin();
-}
-
-TEST(DataplaneSmoke, QuiescentReadersDoNotBlockReclaim) {
-  EpochDomain domain(4);
-  EpochPublished<int> published(domain);
-  EpochReader idle(domain);  // acquired but never pinned
-  published.publish(std::make_unique<const int>(1));
-  published.publish(std::make_unique<const int>(2));
-  published.publish(std::make_unique<const int>(3));
-  EXPECT_EQ(published.retired_count(), 0u);  // publish reclaims eagerly
-}
-
-TEST(DataplaneSmoke, ReaderSlotsExhaustAndRecycle) {
-  EpochDomain domain(2);
-  const auto a = domain.acquire_reader();
-  const auto b = domain.acquire_reader();
-  EXPECT_THROW((void)domain.acquire_reader(), std::runtime_error);
-  domain.release_reader(a);
-  const auto c = domain.acquire_reader();  // recycled
-  domain.release_reader(b);
-  domain.release_reader(c);
-}
-
-// ---------------------------------------------------------------------------
-// Concurrent readers during hot-swap (the tsan-dataplane-smoke workload)
-// ---------------------------------------------------------------------------
-
-TEST(DataplaneSmoke, ConcurrentReadersDuringHotSwap) {
-  // Two alternating tables; every concurrent lookup must return one of
-  // the two reference answers — a torn or stale-freed table would not.
-  util::Rng setup_rng(99);
-  const Fib fib_a = random_fib(setup_rng, 40);
-  Fib fib_b = fib_a;
-  for (auto& e : fib_b) {
-    if (!fibcomp::is_sentinel(e.next_hop)) e.next_hop += 1000;
-  }
-  const auto trie_a = fibcomp::build_trie(fib_a);
-  const auto trie_b = fibcomp::build_trie(fib_b);
-
-  LookupServer server({/*max_readers=*/8, /*pin_batch=*/32});
-  FibCompiler compiler{{8}};
-  server.publish(compiler.compile(fib_a));
-
-  std::atomic<std::uint64_t> mismatches{0};
-  exec::ThreadPool pool(3);
-  std::vector<std::future<void>> workers;
-  for (int w = 0; w < 3; ++w) {
-    workers.push_back(pool.submit([&, w] {
-      util::Rng rng(1000 + static_cast<std::uint64_t>(w));
-      EpochReader reader(server.domain());
-      for (int batch = 0; batch < 400; ++batch) {
-        reader.pin();
-        const LpmTable* table = server.current();
-        for (int q = 0; q < 64; ++q) {
-          const auto addr = static_cast<Address>(rng());
-          const NextHop got = table->lookup(addr);
-          if (got != fibcomp::lookup(trie_a, addr) &&
-              got != fibcomp::lookup(trie_b, addr)) {
-            mismatches.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      }
-      reader.unpin();
-    }));
-  }
-
-  // Hot-swap continuously while the readers run.
-  for (int swap = 0; swap < 120; ++swap) {
-    server.publish(compiler.compile(swap % 2 == 0 ? fib_b : fib_a));
-    server.reclaim();
-    std::this_thread::yield();
-  }
-  for (auto& f : workers) f.get();
-  pool.shutdown();
-
-  EXPECT_EQ(mismatches.load(), 0u);
-  // All readers released their slots: the retired list fully drains.
-  EXPECT_EQ(server.reclaim(), 0u);
-  EXPECT_EQ(server.publish_count(), 121u);
-}
-
-// ---------------------------------------------------------------------------
-// Parallel serve determinism
+// Parallel serving of one shared const table
 // ---------------------------------------------------------------------------
 
 TEST(DataplaneSmoke, ServeParallelInvariantAcrossThreadCounts) {
@@ -311,11 +189,10 @@ TEST(DataplaneSmoke, ServeParallelInvariantAcrossThreadCounts) {
   mix.zipf_s = 1.1;
   mix.miss_fraction = 0.1;
   const QueryGen gen(fib, mix);
+  const auto table = LpmTable::compile(fib, {16});
 
   const auto run = [&](exec::ThreadPool* pool) {
-    LookupServer server({/*max_readers=*/16, /*pin_batch=*/256});
-    server.publish(FibCompiler{{16}}.compile(fib));
-    return server.serve_parallel(pool, gen, /*seed=*/42, /*count=*/20000);
+    return serve(table, gen, pool, /*seed=*/42, /*count=*/20000);
   };
 
   const BatchResult base = run(nullptr);
@@ -330,24 +207,36 @@ TEST(DataplaneSmoke, ServeParallelInvariantAcrossThreadCounts) {
   }
 }
 
-TEST(DataplaneSmoke, ServeBeforeFirstPublishDropsEverything) {
-  LookupServer server;
-  const QueryGen gen(Fib{}, {});
-  const BatchResult r = server.serve(gen, util::Rng(3), 100);
-  EXPECT_EQ(r.lookups, 100u);
-  EXPECT_EQ(r.hits, 0u);
-}
-
 TEST(DataplaneSmoke, ZipfQueriesHitTheFib) {
   // With miss_fraction = 0 every draw lands inside some FIB prefix, so a
   // FIB with no kDrop entries answers every query.
   const Fib fib{{bp("0"), 1}, {bp("10"), 2}, {bp("11"), 3}};
   QueryMix mix;
   mix.kind = QueryMix::Kind::kZipf;
-  LookupServer server;
-  server.publish(FibCompiler{{8}}.compile(fib));
-  const BatchResult r = server.serve(QueryGen(fib, mix), util::Rng(5), 5000);
+  const auto table = LpmTable::compile(fib, {8});
+  const BatchResult r = serve(table, QueryGen(fib, mix), nullptr, 5, 5000);
+  EXPECT_EQ(r.lookups, 5000u);
   EXPECT_EQ(r.hits, r.lookups);
+
+  // On an empty FIB QueryGen draws whole-space addresses, which a table
+  // holding only "0" answers about half the time.
+  const QueryGen whole_space(Fib{}, mix);
+  EXPECT_EQ(whole_space.prefix_count(), 0u);
+  const auto half = LpmTable::compile({{bp("0"), 1}}, {8});
+  const BatchResult w = serve(half, whole_space, nullptr, 3, 4000);
+  EXPECT_EQ(w.lookups, 4000u);
+  EXPECT_GT(w.hits, 1000u);
+  EXPECT_LT(w.hits, 3000u);
+}
+
+TEST(DataplaneSmoke, ServeBeforeFirstPublishDropsEverything) {
+  // A node with no routes yet serves from the table compiled from an
+  // empty FIB: every query is counted and every one is dropped.
+  const QueryGen gen(Fib{}, {});
+  const BatchResult r =
+      serve(LpmTable::compile({}, {8}), gen, nullptr, /*seed=*/3, 100);
+  EXPECT_EQ(r.lookups, 100u);
+  EXPECT_EQ(r.hits, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -372,9 +261,8 @@ TEST(DataplaneSmoke, CompiledTableMatchesEngineTrace) {
 
   util::Rng rng(11);
   const auto fibs = fibs_from_simulator(sim, SnapshotKind::kPostDragon);
-  const FibCompiler compiler{{8}};
   for (topology::NodeId u = 0; u < topo.node_count(); ++u) {
-    const auto table = compiler.compile(fibs[u]);
+    const auto table = LpmTable::compile(fibs[u], {8});
 
     std::vector<Address> probes = boundary_probes(fibs[u]);
     for (int i = 0; i < 200; ++i) {
@@ -389,7 +277,7 @@ TEST(DataplaneSmoke, CompiledTableMatchesEngineTrace) {
       } else if (tr.path.size() >= 2) {
         expect = static_cast<NextHop>(tr.path[1]);
       }
-      ASSERT_EQ(table->lookup(addr), expect)
+      ASSERT_EQ(table.lookup(addr), expect)
           << "node " << u << " addr " << addr;
     }
   }

@@ -5,7 +5,9 @@
 #include "algebra/gr_path_algebra.hpp"
 #include "engine/event_queue.hpp"
 #include "engine/simulator.hpp"
+#include "obs/span.hpp"
 #include "paper_networks.hpp"
+#include "prefix/prefix_trie.hpp"
 #include "routecomp/gr_sweep.hpp"
 #include "test_support.hpp"
 #include "topology/generator.hpp"
@@ -558,6 +560,28 @@ TEST(Observability, TracerCapturesConvergence) {
   EXPECT_EQ(announces, sim.stats().announcements);
   // Everybody installs the one prefix.
   EXPECT_EQ(installs, topo.node_count());
+}
+#else
+// With the tracer compiled out, the totals-only sites (engine.elect,
+// engine.flush, trie.*) are gone too: arming --profile's switch and
+// running elections, flushes and trie walks records no site at all.
+TEST(NotraceBuild, ProfileSitesCompileOut) {
+  obs::span_reset();
+  obs::span_totals_enable(true);
+  const auto topo = F1::topology();
+  GrPathAlgebra alg;
+  Simulator sim(topo, alg, dragon_config());
+  sim.originate(bp("10"), F1::origin_p, kOriginAttr);
+  sim.originate(bp("10000"), F1::origin_q, kOriginAttr);
+  quiesce(sim);
+  prefix::PrefixTrie<int> trie;
+  trie.insert(bp("10"), 1);
+  trie.insert(bp("1000"), 2);
+  EXPECT_TRUE(trie.lookup(bp("10000").first_address()).has_value());
+  EXPECT_TRUE(trie.parent_of(bp("1000")).has_value());
+  obs::span_totals_enable(false);
+  EXPECT_GT(sim.stats().announcements, 0u);
+  EXPECT_TRUE(obs::span_site_totals().empty());
 }
 #endif  // DRAGON_TRACE
 

@@ -1,9 +1,11 @@
 // Tests for the observability substrate (src/obs/): histogram bucket
 // boundaries and quantile interpolation, registry semantics
 // (reset/merge/snapshot), tracer JSONL well-formedness and ring
-// wraparound, timeline sampling, and the profiling scopes.
+// wraparound, timeline sampling, and the totals-only span sites behind
+// the benches' --profile flag.
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -11,7 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
+#include "obs/span.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "prefix/prefix.hpp"
@@ -487,30 +489,58 @@ TEST(Timeline, WriteJsonlSplicesExtraFields) {
   std::remove(path.c_str());
 }
 
-// --- Profiling scopes ------------------------------------------------------
+// --- Totals-only span sites ----------------------------------------------
 
-TEST(Profile, ScopesAccumulateWhenEnabled) {
-  profiling_enable(true);
-  profile_reset();
-  for (int i = 0; i < 3; ++i) {
-    DRAGON_PROF_SCOPE("obs.test.scope");
+#if DRAGON_TRACE
+
+std::uint64_t totals_calls(const char* category, const char* name) {
+  for (const SpanSiteTotals& site : span_site_totals()) {
+    if (std::strcmp(site.category, category) == 0 &&
+        std::strcmp(site.name, name) == 0) {
+      return site.calls;
+    }
   }
-  profiling_enable(false);
-  const std::string summary = profile_summary();
-  // Site appears in the table with its call count.
-  EXPECT_NE(summary.find("obs.test.scope"), std::string::npos) << summary;
-  const auto pos = summary.find("obs.test.scope");
-  EXPECT_NE(summary.find("3", pos), std::string::npos) << summary;
-  profile_reset();
+  return 0;
 }
 
-TEST(Profile, DisabledScopesRecordNothing) {
-  profiling_enable(false);
-  profile_reset();
-  { DRAGON_PROF_SCOPE("obs.test.disabled"); }
-  // Zero-call sites are omitted from the summary entirely.
-  EXPECT_EQ(profile_summary().find("obs.test.disabled"), std::string::npos);
+std::vector<std::uint64_t> pushed_per_buffer() {
+  std::vector<std::uint64_t> out;
+  for (const ThreadSpans& thread : span_collect()) out.push_back(thread.pushed);
+  return out;
 }
+
+TEST(SpanTotals, ArmedSiteCountsCallsWithoutRingRecords) {
+  span_reset();
+  span_enable(true);  // ring spans armed too: totals sites must not push
+  (void)span_local_buffer();
+  const auto pushed_before = pushed_per_buffer();
+  span_totals_enable(true);
+  for (int i = 0; i < 3; ++i) {
+    DRAGON_SPAN_TOTALS("obs_test", "totals_scope");
+  }
+  span_totals_enable(false);
+  span_enable(false);
+  EXPECT_EQ(totals_calls("obs_test", "totals_scope"), 3u);
+  EXPECT_EQ(pushed_per_buffer(), pushed_before);
+  for (const SpanSiteTotals& site : span_site_totals()) {
+    if (std::strcmp(site.name, "totals_scope") == 0) {
+      EXPECT_EQ(site.cpu_ns, 0u);  // no CPU-clock read
+    }
+  }
+  span_reset();
+}
+
+TEST(SpanTotals, DisarmedSiteRecordsNothing) {
+  span_reset();
+  span_totals_enable(false);
+  span_enable(true);  // the ring switch does not arm totals sites
+  { DRAGON_SPAN_TOTALS("obs_test", "totals_disarmed"); }
+  span_enable(false);
+  EXPECT_EQ(totals_calls("obs_test", "totals_disarmed"), 0u);
+  span_reset();
+}
+
+#endif  // DRAGON_TRACE
 
 }  // namespace
 }  // namespace dragon::obs

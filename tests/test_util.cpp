@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <regex>
 #include <string>
@@ -260,6 +261,63 @@ TEST(Flags, SecondsLookupThrowsOnNonDurationFlag) {
   ASSERT_TRUE(flags.parse(1, const_cast<char**>(argv)));
   EXPECT_THROW((void)flags.seconds("mrai"), std::out_of_range);
   EXPECT_THROW((void)flags.seconds("undeclared"), std::out_of_range);
+}
+
+TEST(Flags, DoubleFlagAcceptsValidValues) {
+  util::Flags flags;
+  flags.define_double("miss-fraction", 0.05, "P(miss)", 0, 1);
+  flags.define_double("zipf-s", 1.0, "skew", 0);
+  const char* argv[] = {"prog", "--miss-fraction=1", "--zipf-s", "2.5e-1"};
+  ASSERT_TRUE(flags.parse(4, const_cast<char**>(argv)));
+  EXPECT_DOUBLE_EQ(flags.f64("miss-fraction"), 1.0);
+  EXPECT_DOUBLE_EQ(flags.f64("zipf-s"), 0.25);
+
+  util::Flags defaults;
+  defaults.define_double("miss-fraction", 0.05, "P(miss)", 0, 1);
+  const char* none[] = {"prog"};
+  ASSERT_TRUE(defaults.parse(1, const_cast<char**>(none)));
+  EXPECT_EQ(defaults.str("miss-fraction"), "0.05");
+  EXPECT_DOUBLE_EQ(defaults.f64("miss-fraction"), 0.05);
+}
+
+TEST(Flags, DoubleFlagRejectsTrailingGarbage) {
+  for (const char* bad : {"--zipf-s=1x", "--zipf-s=abc", "--zipf-s=",
+                          "--zipf-s=0.5 ", "--zipf-s=1,5"}) {
+    util::Flags flags;
+    flags.define_double("zipf-s", 1.0, "skew", 0);
+    const char* argv[] = {"prog", bad};
+    EXPECT_FALSE(flags.parse(2, const_cast<char**>(argv))) << bad;
+  }
+}
+
+TEST(Flags, DoubleFlagRejectsNanAndInfinity) {
+  for (const char* bad : {"--zipf-s=nan", "--zipf-s=NaN", "--zipf-s=inf",
+                          "--zipf-s=1e999"}) {
+    util::Flags flags;
+    flags.define_double("zipf-s", 1.0, "skew", 0);
+    const char* argv[] = {"prog", bad};
+    EXPECT_FALSE(flags.parse(2, const_cast<char**>(argv))) << bad;
+  }
+}
+
+TEST(Flags, DoubleFlagRejectsOutOfRangeValues) {
+  for (const char* bad : {"--loss=-0.1", "--loss=1.01", "--dt=0", "--dt=-1"}) {
+    util::Flags flags;
+    flags.define_double("loss", 0, "P(loss)", 0, 1);
+    flags.define_double("dt", 10, "cadence", 0,
+                        std::numeric_limits<double>::infinity(),
+                        /*min_exclusive=*/true);
+    const char* argv[] = {"prog", bad};
+    EXPECT_FALSE(flags.parse(2, const_cast<char**>(argv))) << bad;
+  }
+  util::Flags flags;
+  flags.define_double("loss", 0, "P(loss)", 0, 1);
+  flags.define_double("dt", 10, "cadence", 0,
+                      std::numeric_limits<double>::infinity(),
+                      /*min_exclusive=*/true);
+  const char* argv[] = {"prog", "--loss=0", "--dt=0.001"};  // bounds: ok
+  ASSERT_TRUE(flags.parse(3, const_cast<char**>(argv)));
+  EXPECT_DOUBLE_EQ(flags.f64("dt"), 0.001);
 }
 
 // ---------------------------------------------------------------------------
