@@ -14,7 +14,6 @@
 //     one order of magnitude.
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -22,7 +21,6 @@
 #include "algebra/gr_path_algebra.hpp"
 #include "chaos/watchdog.hpp"
 #include "engine/simulator.hpp"
-#include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "prefix/prefix_forest.hpp"
 #include "stats/ccdf.hpp"
@@ -83,6 +81,36 @@ struct TreeResult {
   obs::MetricsRegistry agg_bgp, agg_drg;
 };
 
+/// A trial_start/trial_end bracket for the event trace.  Both carry the
+/// FIB and filtered gauge levels the trial's events fold onto
+/// (tools/trace_series.py rebuilds the convergence series from them);
+/// trial_end adds the update totals to check the fold against.
+std::string trial_note(const engine::Simulator& sim, bool end,
+                       const char* mode, std::size_t tree, std::size_t trial) {
+  const auto level = [&sim](const char* gauge) {
+    return static_cast<long long>(sim.metrics().find_gauge(gauge)->value());
+  };
+  char note[320];
+  int n = std::snprintf(
+      note, sizeof note,
+      "{\"kind\":\"%s\",\"mode\":\"%s\",\"tree\":%zu,\"trial\":%zu,"
+      "\"fib_entries\":%lld,\"filtered_entries\":%lld",
+      end ? "trial_end" : "trial_start", mode, tree, trial,
+      level("dragon.engine.fib_entries"),
+      level("dragon.dragon.filtered_entries"));
+  if (end) {
+    const engine::Stats s = sim.stats();
+    n += std::snprintf(note + n, sizeof note - n,
+                       ",\"updates\":%llu,\"announcements\":%llu,"
+                       "\"withdrawals\":%llu",
+                       (unsigned long long)s.updates(),
+                       (unsigned long long)s.announcements,
+                       (unsigned long long)s.withdrawals);
+  }
+  std::snprintf(note + n, sizeof note - n, "}");
+  return note;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -101,13 +129,8 @@ int main(int argc, char** argv) {
                    -1, 1 << 24);
   flags.define("debug-log", "false", "debug: engine debug logging");
   flags.define("trace-file", "",
-               "write the DRAGON trials' structured event trace (JSONL) here");
-  flags.define("timeline-file", "",
-               "write per-trial convergence time series (JSONL) here");
-  flags.define_double("timeline-dt", 10,
-                      "timeline sampling cadence in sim seconds", 0,
-                      std::numeric_limits<double>::infinity(),
-                      /*min_exclusive=*/true);
+               "write both twins' per-trial structured event trace (JSONL) "
+               "here");
   if (!flags.parse(argc, argv)) return 1;
   flags.print_config("bench_fig9_convergence");
   bench::apply_obs_flags(flags);
@@ -122,13 +145,10 @@ int main(int argc, char** argv) {
   obs::EventTracer tracer(1 << 16);
   const bool tracing = !flags.str("trace-file").empty();
   auto pool = bench::make_thread_pool(flags);
-  if (pool != nullptr &&
-      (tracing || !flags.str("timeline-file").empty())) {
-    // Trace and timeline sinks are single coherent streams; schedules from
-    // worker threads would scramble them.
-    DRAGON_LOG_WARN(
-        "--trace-file/--timeline-file force sequential execution "
-        "(--threads 1)");
+  if (pool != nullptr && tracing) {
+    // The trace sink is a single coherent stream; schedules from worker
+    // threads would scramble it.
+    DRAGON_LOG_WARN("--trace-file forces sequential execution (--threads 1)");
     pool.reset();
   }
   const std::size_t threads = pool != nullptr ? pool->size() : 1;
@@ -141,17 +161,6 @@ int main(int argc, char** argv) {
     tracer.note(bench::run_meta_json("bench_fig9_convergence",
                                      flags.u64("seed"), threads));
   }
-  std::FILE* timeline_out = nullptr;
-  if (!flags.str("timeline-file").empty()) {
-    timeline_out = std::fopen(flags.str("timeline-file").c_str(), "w");
-    if (timeline_out == nullptr) {
-      std::fprintf(stderr, "cannot open --timeline-file %s\n",
-                   flags.str("timeline-file").c_str());
-      return 1;
-    }
-  }
-  obs::Timeline bgp_timeline(flags.f64("timeline-dt"));
-  obs::Timeline drg_timeline(flags.f64("timeline-dt"));
 
   const auto scenario = bench::build_scenario(flags);
   const auto& topo = scenario.generated.graph;
@@ -173,6 +182,24 @@ int main(int argc, char** argv) {
                    what.c_str(), r.diagnostics.c_str());
       throw std::runtime_error(what + " tripped the convergence watchdog");
     }
+  };
+
+  // One failure trial on one twin: rewind to the converged snapshot, fail
+  // the link, converge.  trial_start goes after the rewind and before
+  // fail_link(), which already emits FIB events.
+  const auto run_trial = [&](engine::Simulator& sim, const auto& snap,
+                             const char* mode, std::size_t t,
+                             std::size_t trial, NodeId a, NodeId b) {
+    sim.restore(snap);
+    sim.reset_stats();
+    if (tracing) tracer.note(trial_note(sim, false, mode, t, trial));
+    sim.fail_link(a, b);
+    converge(sim, "tree " + std::to_string(t) + " trial " +
+                      std::to_string(trial) + " " + mode);
+    // note() flushes the ring first, so every event of the trial is on
+    // disk before its closing bracket.
+    if (tracing) tracer.note(trial_note(sim, true, mode, t, trial));
+    return sim.stats();
   };
 
   // Sample non-trivial prefix-trees (the trivial ones behave identically
@@ -226,10 +253,12 @@ int main(int argc, char** argv) {
     converge(drg, "tree " + std::to_string(t) + " dragon bring-up");
     const auto bgp_snap = bgp.snapshot();
     const auto drg_snap = drg.snapshot();
-    // Trace only the DRAGON trials: the BGP twin runs the same failures and
-    // would double every record with no extra information.  (Tracing forced
-    // --threads 1 above, so the shared tracer sees one schedule at a time.)
-    if (tracing) drg.set_tracer(&tracer);
+    // Tracing forced --threads 1 above, so the shared tracer sees one
+    // schedule at a time; the mode field of the notes tells the twins apart.
+    if (tracing) {
+      bgp.set_tracer(&tracer);
+      drg.set_tracer(&tracer);
+    }
 
     // Trial set: random links drawn from the links that actually carry the
     // tree's traffic (failures elsewhere produce no updates under either
@@ -258,60 +287,12 @@ int main(int argc, char** argv) {
       const auto [a, b] = trial_links[trial];
       TrialRecord rec;
       rec.is_random = trial < random_trials;
-      bgp.restore(bgp_snap);
-      bgp.reset_stats();
-      bgp.fail_link(a, b);
-      if (timeline_out != nullptr) bgp.attach_timeline(&bgp_timeline);
-      converge(bgp, "tree " + std::to_string(t) + " trial " +
-                        std::to_string(trial) + " bgp");
-      const auto bgp_updates = bgp.stats().updates();
-      if (timeline_out != nullptr) {
-        char extra[96];
-        std::snprintf(extra, sizeof extra,
-                      "\"mode\":\"bgp\",\"tree\":%zu,\"trial\":%zu", t, trial);
-        bgp_timeline.write_jsonl(timeline_out, extra);
-        bgp.attach_timeline(nullptr);
-      }
-
-      if (tracing) {
-        char note[128];
-        std::snprintf(note, sizeof note,
-                      "{\"kind\":\"trial_start\",\"tree\":%zu,\"trial\":%zu,"
-                      "\"link\":[%u,%u]}",
-                      t, trial, a, b);
-        tracer.note(note);
-      }
-      drg.restore(drg_snap);
-      drg.reset_stats();
-      drg.fail_link(a, b);
-      if (timeline_out != nullptr) drg.attach_timeline(&drg_timeline);
-      converge(drg, "tree " + std::to_string(t) + " trial " +
-                        std::to_string(trial) + " dragon");
-      const auto drg_updates = drg.stats().updates();
-      rec.deagg = drg.stats().deaggregations > 0;
-      if (timeline_out != nullptr) {
-        char extra[96];
-        std::snprintf(extra, sizeof extra,
-                      "\"mode\":\"dragon\",\"tree\":%zu,\"trial\":%zu", t,
-                      trial);
-        drg_timeline.write_jsonl(timeline_out, extra);
-        drg.attach_timeline(nullptr);
-      }
-      if (tracing) {
-        // note() flushes the ring first, so every event of this trial is on
-        // disk before the delimiter; the counts let a reader check the JSONL
-        // against the Stats facade per trial.
-        const auto s = drg.stats();
-        char note[160];
-        std::snprintf(note, sizeof note,
-                      "{\"kind\":\"trial_end\",\"tree\":%zu,\"trial\":%zu,"
-                      "\"updates\":%llu,\"announcements\":%llu,"
-                      "\"withdrawals\":%llu}",
-                      t, trial, (unsigned long long)s.updates(),
-                      (unsigned long long)s.announcements,
-                      (unsigned long long)s.withdrawals);
-        tracer.note(note);
-      }
+      const auto bgp_updates =
+          run_trial(bgp, bgp_snap, "bgp", t, trial, a, b).updates();
+      const engine::Stats drg_stats =
+          run_trial(drg, drg_snap, "dragon", t, trial, a, b);
+      const auto drg_updates = drg_stats.updates();
+      rec.deagg = drg_stats.deaggregations > 0;
 
       res.agg_bgp.merge_from(bgp.metrics());
       res.agg_drg.merge_from(drg.metrics());
@@ -321,9 +302,9 @@ int main(int argc, char** argv) {
                      "reagg=%llu aggorig=%llu\n",
                      a, b, (unsigned long long)bgp_updates,
                      (unsigned long long)drg_updates,
-                     (unsigned long long)drg.stats().deaggregations,
-                     (unsigned long long)drg.stats().reaggregations,
-                     (unsigned long long)drg.stats().agg_originations);
+                     (unsigned long long)drg_stats.deaggregations,
+                     (unsigned long long)drg_stats.reaggregations,
+                     (unsigned long long)drg_stats.agg_originations);
       }
 
       rec.bgp_updates = static_cast<double>(bgp_updates);
@@ -453,7 +434,6 @@ int main(int argc, char** argv) {
                  (unsigned long long)tracer.dropped(),
                  flags.str("trace-file").c_str());
   }
-  if (timeline_out != nullptr) std::fclose(timeline_out);
   if (!flags.str("metrics-json").empty()) {
     bench::write_metrics_json(
         flags.str("metrics-json"),

@@ -371,7 +371,12 @@ void Simulator::clear_node_state(NodeId n) {
                          interner_.prefix_of(p));
     }
     if (entry.elected != kUnreachable && entry.filtered) {
+      // A wipe, not a CR transition: the unfilter_transitions counter
+      // stays put, but the trace must see the gauge move.
       g_filtered_->add(-1.0);
+      DRAGON_TRACE_EVENT(tracer_, queue_.now(), obs::EventKind::kUnfilter, n,
+                         interner_.prefix_of(p),
+                         static_cast<std::uint32_t>(entry.elected));
     }
   });
   for (const NeighborIo& nio : node.io) {

@@ -461,23 +461,6 @@ void Simulator::restore_link(NodeId a, NodeId b) {
   }
 }
 
-void Simulator::attach_timeline(obs::Timeline* timeline) {
-  timeline_ = timeline;
-  if (timeline_ != nullptr) timeline_->begin(queue_.now());
-}
-
-obs::Timeline::Sample Simulator::timeline_sample(Time t) const {
-  obs::Timeline::Sample s;
-  s.t = t;
-  s.updates = c_announce_->value() + c_withdraw_->value();
-  s.fib_entries = static_cast<std::uint64_t>(g_fib_->value());
-  const double filtered = g_filtered_->value();
-  const double elected = filtered + g_fib_->value();
-  s.frac_filtered = elected > 0.0 ? filtered / elected : 0.0;
-  s.queue_depth = queue_.size();
-  return s;
-}
-
 std::size_t Simulator::run_until_quiescent(Time max_time) {
   return run_bounded(max_time, std::numeric_limits<std::size_t>::max()).events;
 }
@@ -490,18 +473,10 @@ Simulator::RunResult Simulator::run_bounded(Time max_time,
   RunResult result;
   while (!queue_.empty() && queue_.next_time() <= max_time &&
          result.events < max_events) {
-    if (timeline_ != nullptr) {
-      // Emit every grid sample due before the next event fires, so the
-      // series has a point per cadence tick even across quiet stretches.
-      while (timeline_->due(queue_.next_time())) {
-        timeline_->push(timeline_sample(timeline_->next_due()));
-      }
-    }
     queue_.run_next();
     ++result.events;
     if ((result.events & 63u) == 0) h_queue_depth_->observe(queue_.size());
   }
-  if (timeline_ != nullptr) timeline_->push(timeline_sample(queue_.now()));
   result.quiescent = queue_.empty();
   drain_span.set_arg(0, result.events);
   return result;

@@ -40,7 +40,6 @@
 #include "engine/node.hpp"
 #include "engine/session.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "prefix/intern.hpp"
 #include "prefix/prefix.hpp"
@@ -282,10 +281,6 @@ class Simulator {
   /// Attaches a structured event tracer (nullptr detaches).  Non-owning;
   /// the tracer must outlive the simulator or be detached first.
   void set_tracer(obs::EventTracer* tracer) { tracer_ = tracer; }
-  /// Attaches a convergence timeline probe (nullptr detaches) and
-  /// (re)starts its sampling grid at now().  run_until_quiescent then
-  /// records a sample per cadence tick plus a final end-state sample.
-  void attach_timeline(obs::Timeline* timeline);
 
   // --- State introspection -------------------------------------------------
 
@@ -420,7 +415,6 @@ class Simulator {
   /// fib_entries gauge, trace events) with its current elected/filtered
   /// state.  Idempotent.
   void sync_entry_obs(NodeId u, prefix::PrefixId p, RouteEntry& entry);
-  [[nodiscard]] obs::Timeline::Sample timeline_sample(Time t) const;
   void mark_pending(NodeId u, prefix::PrefixId p);
   void try_flush(NodeId u, NodeId v);
   void flush_now(NodeId u, NodeId v);
@@ -556,7 +550,6 @@ class Simulator {
   // --- Observability state --------------------------------------------------
   obs::MetricsRegistry metrics_;
   obs::EventTracer* tracer_ = nullptr;    // non-owning
-  obs::Timeline* timeline_ = nullptr;     // non-owning
   /// Node class per node (index into kNodeClassNames: stub/transit/tier1)
   /// for the per-node-class update counters.
   std::vector<std::uint8_t> node_class_;

@@ -585,30 +585,88 @@ TEST(NotraceBuild, ProfileSitesCompileOut) {
 }
 #endif  // DRAGON_TRACE
 
-// A timeline attached before convergence produces samples with monotone
-// times and non-decreasing cumulative update counts, ending at the
-// final FIB state.
-TEST(Observability, TimelineSamplesConvergence) {
+#if DRAGON_TRACE
+// The event trace is the convergence timeline: folding the records of an
+// episode onto the gauge levels at its start rebuilds the update total
+// and both gauges exactly (updates = announce + withdraw, fib = start +
+// fib_install - fib_remove, filtered = start + filter - unfilter).  This
+// is the identity tools/trace_series.py checks per fig9 trial.
+TEST(Observability, TraceFoldMatchesRegistry) {
+  struct Fold {
+    std::uint64_t updates = 0;
+    double fib = 0.0;
+    double filtered = 0.0;
+  };
+  const auto gauge = [](const Simulator& sim, const char* name) {
+    return sim.metrics().find_gauge(name)->value();
+  };
+  const auto fold = [&](const Simulator& sim, const obs::EventTracer& tracer,
+                        double fib0, double filtered0) {
+    Fold f{0, fib0, filtered0};
+    tracer.for_each([&f](const obs::TraceRecord& r) {
+      switch (r.kind) {
+        case obs::EventKind::kAnnounce:
+        case obs::EventKind::kWithdraw: ++f.updates; break;
+        case obs::EventKind::kFibInstall: f.fib += 1.0; break;
+        case obs::EventKind::kFibRemove: f.fib -= 1.0; break;
+        case obs::EventKind::kFilter: f.filtered += 1.0; break;
+        case obs::EventKind::kUnfilter: f.filtered -= 1.0; break;
+        default: break;
+      }
+    });
+    EXPECT_EQ(tracer.dropped(), 0u);
+    EXPECT_EQ(f.updates, sim.stats().updates());
+    EXPECT_EQ(f.fib, gauge(sim, "dragon.engine.fib_entries"));
+    EXPECT_EQ(f.filtered, gauge(sim, "dragon.dragon.filtered_entries"));
+    return f;
+  };
   const auto topo = F1::topology();
   GrPathAlgebra alg;
-  Simulator sim(topo, alg, bgp_config());
-  obs::Timeline timeline(0.005);  // half a link delay, so grid ticks fire
-  sim.attach_timeline(&timeline);
-  sim.originate(bp("10"), F1::origin_p, kOriginAttr);
-  quiesce(sim);
-  sim.attach_timeline(nullptr);
 
-  const auto& samples = timeline.samples();
-  ASSERT_GE(samples.size(), 2u);  // at least one grid tick + the final
-  for (std::size_t i = 1; i < samples.size(); ++i) {
-    EXPECT_GE(samples[i].t, samples[i - 1].t);
-    EXPECT_GE(samples[i].updates, samples[i - 1].updates);
+  // Case 1: a fig9-style trial — restore, reset, fail a link, quiesce.
+  {
+    Simulator sim(topo, alg, dragon_config());
+    sim.originate(bp("10"), F1::origin_p, kOriginAttr);
+    sim.originate(bp("10000"), F1::origin_q, kOriginAttr);
+    quiesce(sim);
+    sim.restore(sim.snapshot());
+    sim.reset_stats();
+    const double fib0 = gauge(sim, "dragon.engine.fib_entries");
+    const double filtered0 = gauge(sim, "dragon.dragon.filtered_entries");
+    obs::EventTracer tracer(1 << 12);
+    sim.set_tracer(&tracer);
+    sim.fail_link(F1::u4, F1::u6);
+    quiesce(sim);
+    const Fold f = fold(sim, tracer, fib0, filtered0);
+    EXPECT_GT(f.updates, 0u);
   }
-  const auto& last = samples.back();
-  EXPECT_EQ(last.updates, sim.stats().updates());
-  EXPECT_EQ(last.fib_entries, topo.node_count());  // one prefix, all install
-  EXPECT_EQ(last.queue_depth, 0u);
+
+  // Case 2: a crash wipes a node holding filtered entries (u1 and u2 both
+  // filter q beneath p); the wipe must reach the trace as unfilters.
+  {
+    Config config = dragon_config();
+    config.session.enabled = true;
+    config.session.graceful_restart = false;
+    config.session.hold_time = 3.0;
+    config.session.keepalive = 1.0;
+    config.session.reestablish_delay = 1.0;
+    Simulator sim(topo, alg, config);
+    sim.originate(bp("10"), F1::origin_p, kOriginAttr);
+    sim.originate(bp("10000"), F1::origin_q, kOriginAttr);
+    quiesce(sim);
+    ASSERT_TRUE(sim.filtered(F1::u2, bp("10000")));
+    sim.reset_stats();
+    const double fib0 = gauge(sim, "dragon.engine.fib_entries");
+    const double filtered0 = gauge(sim, "dragon.dragon.filtered_entries");
+    obs::EventTracer tracer(1 << 12);
+    sim.set_tracer(&tracer);
+    sim.crash_node(F1::u2);
+    quiesce(sim);
+    fold(sim, tracer, fib0, filtered0);
+    EXPECT_LT(gauge(sim, "dragon.dragon.filtered_entries"), filtered0);
+  }
 }
+#endif  // DRAGON_TRACE
 
 }  // namespace
 }  // namespace dragon::engine

@@ -1,8 +1,8 @@
 // Tests for the observability substrate (src/obs/): histogram bucket
 // boundaries and quantile interpolation, registry semantics
 // (reset/merge/snapshot), tracer JSONL well-formedness and ring
-// wraparound, timeline sampling, and the totals-only span sites behind
-// the benches' --profile flag.
+// wraparound, and the totals-only span sites behind the benches'
+// --profile flag.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -14,7 +14,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/timeline.hpp"
 #include "obs/trace.hpp"
 #include "prefix/prefix.hpp"
 
@@ -425,68 +424,6 @@ TEST(EventTracer, ClearEmptiesTheRing) {
   EXPECT_EQ(tracer.size(), 0u);
   tracer.record(2.0, EventKind::kElect, 2);
   EXPECT_EQ(tracer.size(), 1u);
-}
-
-// --- Timeline --------------------------------------------------------------
-
-TEST(Timeline, GridAndRateDerivation) {
-  Timeline tl(10.0);
-  tl.begin(100.0);
-  EXPECT_DOUBLE_EQ(tl.next_due(), 110.0);
-  EXPECT_FALSE(tl.due(109.9));
-  EXPECT_TRUE(tl.due(110.0));
-
-  Timeline::Sample s;
-  s.t = 110.0;
-  s.updates = 50;
-  tl.push(s);
-  EXPECT_DOUBLE_EQ(tl.next_due(), 120.0);
-
-  s.t = 120.0;
-  s.updates = 80;
-  tl.push(s);
-  ASSERT_EQ(tl.samples().size(), 2u);
-  EXPECT_DOUBLE_EQ(tl.samples()[0].updates_per_sec, 5.0);   // 50 / 10s
-  EXPECT_DOUBLE_EQ(tl.samples()[1].updates_per_sec, 3.0);   // 30 / 10s
-}
-
-TEST(Timeline, BeginResetsSamplesAndGrid) {
-  Timeline tl(5.0);
-  tl.begin(0.0);
-  Timeline::Sample s;
-  s.t = 5.0;
-  s.updates = 10;
-  tl.push(s);
-  tl.begin(200.0);
-  EXPECT_TRUE(tl.samples().empty());
-  EXPECT_DOUBLE_EQ(tl.next_due(), 205.0);
-  s.t = 205.0;
-  s.updates = 4;
-  tl.push(s);
-  // Rate window restarts at begin(): 4 updates over 5 seconds.
-  EXPECT_DOUBLE_EQ(tl.samples()[0].updates_per_sec, 0.8);
-}
-
-TEST(Timeline, WriteJsonlSplicesExtraFields) {
-  Timeline tl(1.0);
-  tl.begin(0.0);
-  Timeline::Sample s;
-  s.t = 1.0;
-  s.updates = 2;
-  s.fib_entries = 7;
-  tl.push(s);
-  const std::string path = ::testing::TempDir() + "obs_timeline_test.jsonl";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  ASSERT_NE(f, nullptr);
-  tl.write_jsonl(f, "\"mode\":\"dragon\",\"trial\":3");
-  std::fclose(f);
-  const auto lines = read_lines(path);
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_TRUE(looks_like_json_object(lines[0])) << lines[0];
-  EXPECT_NE(lines[0].find("\"mode\":\"dragon\""), std::string::npos);
-  EXPECT_NE(lines[0].find("\"trial\":3"), std::string::npos);
-  EXPECT_NE(lines[0].find("\"fib_entries\":7"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 // --- Totals-only span sites ----------------------------------------------
