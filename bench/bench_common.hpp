@@ -70,24 +70,13 @@ inline std::unique_ptr<exec::ThreadPool> make_thread_pool(
 /// Runs `total` independent trials and commits each result in trial order
 /// on the calling thread.  With a pool, trials run concurrently (one
 /// chunk per trial — bench trials are heavyweight); without one they run
-/// inline, commit interleaved.  Either way commit sees trial i's result
-/// exactly once, in order, so aggregation is bit-identical for any
-/// thread count.
+/// inline in order.  Either way commit sees trial i's result exactly
+/// once, in order, after every trial finished, so aggregation is
+/// bit-identical for any thread count.
 template <typename R>
 inline void run_trials(exec::ThreadPool* pool, std::size_t total,
                        const std::function<R(std::size_t)>& trial,
                        const std::function<void(std::size_t, R&)>& commit) {
-  if (pool == nullptr || pool->size() <= 1) {
-    for (std::size_t i = 0; i < total; ++i) {
-      R result = [&] {
-        DRAGON_SPAN_ARG("bench", "trial", "trial", i);
-        return trial(i);
-      }();
-      DRAGON_SPAN_ARG("bench", "commit", "trial", i);
-      commit(i, result);
-    }
-    return;
-  }
   exec::ParallelOptions opts;
   opts.chunks = total;
   std::vector<R> results = exec::parallel_map<R>(

@@ -121,23 +121,13 @@ Simulator::Simulator(const topology::Topology& topo,
 }
 
 Stats Simulator::stats() const {
-  // Materialised from one consistent registry snapshot rather than six
-  // live handle reads: under the sharded-registry contract (DESIGN.md §8)
-  // the facade must also be correct for a registry whose values arrived
-  // by merging worker shards, where the hot-path handles resolved at
-  // construction are not the only writers of these names.
-  const auto snap = metrics_.snapshot_state();
-  const auto get = [&snap](std::string_view name) -> std::uint64_t {
-    const auto it = snap.counters.find(name);
-    return it == snap.counters.end() ? 0 : it->second;
-  };
   Stats s;
-  s.announcements = get("dragon.engine.announcements");
-  s.withdrawals = get("dragon.engine.withdrawals");
-  s.deaggregations = get("dragon.dragon.deaggregations");
-  s.reaggregations = get("dragon.dragon.reaggregations");
-  s.downgrades = get("dragon.dragon.downgrades");
-  s.agg_originations = get("dragon.dragon.agg_originations");
+  s.announcements = c_announce_->value();
+  s.withdrawals = c_withdraw_->value();
+  s.deaggregations = c_deagg_->value();
+  s.reaggregations = c_reagg_->value();
+  s.downgrades = c_downgrade_->value();
+  s.agg_originations = c_agg_orig_->value();
   return s;
 }
 

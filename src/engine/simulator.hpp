@@ -139,7 +139,7 @@ struct Config {
 };
 
 /// Thin façade over the simulator's metrics registry: the historical
-/// six-counter summary, materialised on demand from the registry's
+/// six-counter summary, read on demand from the registry's
 /// `dragon.engine.*` / `dragon.dragon.*` counters (which are the source
 /// of truth — see src/obs/metrics.hpp).
 struct Stats {
@@ -264,7 +264,8 @@ class Simulator {
   void inject(Time t, std::function<void()> fn);
 
   [[nodiscard]] Time now() const { return queue_.now(); }
-  /// The Stats façade, read from the metrics registry.
+  /// The Stats façade, read through the counter handles resolved at
+  /// construction (the simulator is its registry's only writer).
   [[nodiscard]] Stats stats() const;
   /// Zeroes the registry's counters and histograms (gauges keep tracking
   /// current state, e.g. installed FIB entries).

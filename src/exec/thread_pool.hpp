@@ -3,10 +3,10 @@
 // The pool is deliberately minimal: a bounded set of workers, a FIFO task
 // queue, futures for results and exception propagation, and a graceful
 // shutdown that still runs every task queued before shutdown() was called.
-// All *determinism* machinery (static chunking, per-task RNG forking,
-// per-thread metrics shards) lives one layer up in exec/parallel.hpp — the
-// pool itself only promises that every submitted task runs exactly once on
-// some worker thread.
+// All *determinism* machinery (static chunking, per-chunk RNG forking,
+// the ticket-claiming drain loop) lives one layer up in exec/parallel.hpp
+// — the pool itself only promises that every submitted task runs exactly
+// once on some worker thread.
 //
 // Oversubscription guard: because the runtime's results never depend on
 // the worker count, spawning more workers than the machine has cores can
@@ -15,7 +15,7 @@
 // `cap_to_hardware`, which clamps the spawned workers to
 // default_thread_count() while `requested()` keeps the asked-for size
 // for reporting.  Tests that exercise genuine multi-thread interleaving
-// (TSan races, hot-swap readers) leave the cap off.
+// (TSan races) leave the cap off.
 // See DESIGN.md §8 ("Parallel execution runtime").
 #pragma once
 

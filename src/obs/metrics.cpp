@@ -141,29 +141,6 @@ void append_number(std::string& out, std::uint64_t v) {
   out += buf;
 }
 
-}  // namespace
-
-MetricsRegistry::MetricsRegistry(MetricsRegistry&& other) noexcept
-    : counters_(std::move(other.counters_)),
-      gauges_(std::move(other.gauges_)),
-      histograms_(std::move(other.histograms_)),
-      write_epoch_(std::move(other.write_epoch_)) {}
-
-MetricsRegistry& MetricsRegistry::operator=(MetricsRegistry&& other) noexcept {
-  if (this != &other) {
-    counters_ = std::move(other.counters_);
-    gauges_ = std::move(other.gauges_);
-    histograms_ = std::move(other.histograms_);
-    write_epoch_ = std::move(other.write_epoch_);
-#ifndef NDEBUG
-    writer_.store(0, std::memory_order_relaxed);
-#endif
-  }
-  return *this;
-}
-
-namespace {
-
 #ifndef NDEBUG
 /// Non-zero token identifying the calling thread for the single-writer
 /// check (hash values are stable per thread for its lifetime).
@@ -175,29 +152,34 @@ std::uint64_t writer_token() noexcept {
 
 }  // namespace
 
-void MetricsRegistry::bind_writer() noexcept {
-#ifndef NDEBUG
-  writer_.store(writer_token(), std::memory_order_relaxed);
-#endif
-}
+MetricsRegistry::MetricsRegistry(MetricsRegistry&& other) noexcept
+    : counters_(std::move(other.counters_)),
+      gauges_(std::move(other.gauges_)),
+      histograms_(std::move(other.histograms_)) {}
 
-void MetricsRegistry::release_writer() noexcept {
+MetricsRegistry& MetricsRegistry::operator=(MetricsRegistry&& other) noexcept {
+  if (this != &other) {
+    counters_ = std::move(other.counters_);
+    gauges_ = std::move(other.gauges_);
+    histograms_ = std::move(other.histograms_);
 #ifndef NDEBUG
-  writer_.store(0, std::memory_order_relaxed);
+    writer_.store(0, std::memory_order_relaxed);
 #endif
+  }
+  return *this;
 }
 
 void MetricsRegistry::assert_writer() noexcept {
 #ifndef NDEBUG
   // First mutator claims the registry; later mutations must come from the
-  // same thread until release_writer()/bind_writer() hands it over.
+  // same thread (a move resets the claim for the new owner).
   std::uint64_t expected = 0;
   const std::uint64_t self = writer_token();
   if (!writer_.compare_exchange_strong(expected, self,
                                        std::memory_order_relaxed)) {
     assert(expected == self &&
            "MetricsRegistry: second writer thread on an unshared registry "
-           "(sharded-registry contract, DESIGN.md §8)");
+           "(one writer per registry, DESIGN.md §8)");
   }
 #endif
 }
@@ -209,14 +191,7 @@ Counter* MetricsRegistry::counter(std::string_view name) {
 
 Gauge* MetricsRegistry::gauge(std::string_view name) {
   assert_writer();
-  Gauge* g = get_or_create(gauges_, name);
-  g->epoch_src_ = write_epoch_.get();
-  return g;
-}
-
-void MetricsRegistry::set_write_epoch(std::uint64_t epoch) noexcept {
-  assert_writer();
-  if (write_epoch_ != nullptr) *write_epoch_ = epoch;
+  return get_or_create(gauges_, name);
 }
 
 Histogram* MetricsRegistry::histogram(std::string_view name) {
@@ -249,23 +224,6 @@ void MetricsRegistry::merge_from(const MetricsRegistry& other) {
   }
   for (const auto& [name, g] : other.gauges_) {
     gauge(name)->set(g->value());
-  }
-  for (const auto& [name, h] : other.histograms_) {
-    histogram(name)->merge_from(*h);
-  }
-}
-
-void MetricsRegistry::merge_ordered_from(const MetricsRegistry& other) {
-  assert_writer();
-  for (const auto& [name, c] : other.counters_) {
-    counter(name)->inc(c->value());
-  }
-  for (const auto& [name, g] : other.gauges_) {
-    Gauge* mine = gauge(name);
-    if (g->epoch_ >= mine->epoch_) {
-      mine->value_ = g->value_;
-      mine->epoch_ = g->epoch_;
-    }
   }
   for (const auto& [name, h] : other.histograms_) {
     histogram(name)->merge_from(*h);
