@@ -4,10 +4,10 @@
 // simulator over --prefixes originations, snapshot the busiest nodes'
 // FIBs both ways (kPreDragon: every elected entry; kPostDragon: the
 // filtered FIB the paper's §5 efficiency numbers count), compile each
-// into an LpmTable, and serve --queries batched LPM lookups per table
-// from the exec:: thread pool.  Both phases replay the *same* query
-// stream (same QueryGen + seed), so the measured difference is the
-// table, not the traffic.
+// into an LpmTable, and serve --queries LPM lookups per table on the
+// calling thread.  Both phases replay the *same* query stream (same
+// QueryGen + seed), so the measured difference is the table, not the
+// traffic.
 //
 // `--metrics-json` writes the dataplane.* gauges the perf gate compares
 // against bench/BENCH_dataplane.json (see bench/README.md for the
@@ -63,7 +63,6 @@ struct PhaseResult {
 int main(int argc, char** argv) {
   util::Flags flags;
   bench::define_scenario_flags(flags);
-  bench::define_exec_flags(flags);
   bench::define_obs_flags(flags);
   flags.define_int("prefixes", 1200, "originated prefixes", 1, 1 << 22);
   flags.define_int("queries", 2'000'000,
@@ -71,25 +70,14 @@ int main(int argc, char** argv) {
                    std::int64_t{1} << 40);
   flags.define_int("serve-nodes", 3,
                    "serving nodes (the busiest pre-DRAGON FIBs)", 1, 1 << 16);
-  flags.define_int("top-bits", 16, "LpmTable root index width (8/16/24)", 8,
-                   24);
   flags.define_double("zipf-s", 1.0, "Zipf skew of the query mix (0: uniform)",
                       0);
   flags.define_double("miss-fraction", 0.05,
                       "fraction of queries drawn over the whole address space",
                       0, 1);
   if (!flags.parse(argc, argv)) return 1;
-  // The flag's integer range admits widths LpmTable::compile rejects.
-  const int top_bits = static_cast<int>(flags.i64("top-bits"));
-  if (top_bits != 8 && top_bits != 16 && top_bits != 24) {
-    std::fprintf(stderr, "flag --top-bits: invalid value %d (expected 8, 16 "
-                 "or 24)\n", top_bits);
-    return 1;
-  }
   flags.print_config("bench_dataplane");
   bench::apply_obs_flags(flags);
-  auto pool = bench::make_thread_pool(flags);
-  const std::size_t threads = pool != nullptr ? pool->size() : 1;
 
   const auto scenario = bench::build_scenario(flags);
   const auto& topo = scenario.generated.graph;
@@ -149,7 +137,6 @@ int main(int argc, char** argv) {
     serve_nodes.assign(all.begin(), all.begin() + static_cast<long>(want));
   }
 
-  const dataplane::LpmConfig layout{top_bits};
   dataplane::QueryMix mix;
   const double zipf_s = flags.f64("zipf-s");
   mix.kind = zipf_s > 0.0 ? dataplane::QueryMix::Kind::kZipf
@@ -172,7 +159,7 @@ int main(int argc, char** argv) {
     for (int phase = 0; phase < 2; ++phase) {
       const fibcomp::Fib& fib = phase == 0 ? pre[u] : post[u];
       const double t0 = now_ms();
-      const auto table = dataplane::LpmTable::compile(fib, layout);
+      const auto table = dataplane::LpmTable::compile(fib);
       const double compile_ms = now_ms() - t0;
       results[phase].entries += table.stats().entries;
       results[phase].table_bytes += table.stats().table_bytes;
@@ -182,8 +169,8 @@ int main(int argc, char** argv) {
       }
 
       const double s0 = now_ms();
-      const auto batch = dataplane::serve(
-          table, gen, pool.get(), /*seed=*/scenario.trial_seed ^ u, queries);
+      const auto batch =
+          dataplane::serve(table, gen, scenario.trial_seed ^ u, queries);
       const double serve_ms = now_ms() - s0;
       results[phase].lookup_ns_per_query +=
           1e6 * serve_ms / static_cast<double>(queries);
@@ -243,10 +230,9 @@ int main(int argc, char** argv) {
     }
     bench::write_metrics_json(
         flags.str("metrics-json"), {{"dataplane", &reg}},
-        bench::run_meta_json("bench_dataplane", flags.u64("seed"), threads));
+        bench::run_meta_json("bench_dataplane", flags.u64("seed")));
     std::printf("# wrote %s\n", flags.str("metrics-json").c_str());
   }
-  pool.reset();  // exporting spans requires the workers joined
   bench::maybe_export_span_trace(
       flags, "bench_dataplane",
       {{"seed", std::to_string(flags.u64("seed"))}});

@@ -257,8 +257,8 @@ void BM_OrtcCompress(benchmark::State& state) {
 }
 BENCHMARK(BM_OrtcCompress)->Arg(10000)->Arg(50000);
 
-// Compiled-LPM serving: one lookup against a DIR-24-8-style LpmTable
-// (top_bits=16, the bench_dataplane default).  Arg pair is
+// Compiled-LPM serving: one lookup against the DIR-16-8-8 LpmTable
+// bench_dataplane compiles.  Arg pair is
 // {fib entries, mix} with mix 0 = uniform over prefixes, 1 = Zipf-skewed
 // with 5% whole-address-space misses — the two traffic shapes
 // bench_dataplane serves at scale.
@@ -271,7 +271,7 @@ void BM_DataplaneLookup(benchmark::State& state) {
   for (const auto& p : prefixes) {
     fib.push_back({p, static_cast<fibcomp::NextHop>(hop_rng.below(64))});
   }
-  const auto table = dataplane::LpmTable::compile(fib, {/*top_bits=*/16});
+  const auto table = dataplane::LpmTable::compile(fib);
   dataplane::QueryMix mix;
   if (state.range(1) != 0) {
     mix.kind = dataplane::QueryMix::Kind::kZipf;
@@ -301,7 +301,7 @@ void BM_FibCompile(benchmark::State& state) {
     fib.push_back({p, static_cast<fibcomp::NextHop>(hop_rng.below(64))});
   }
   for (auto _ : state) {
-    const auto table = dataplane::LpmTable::compile(fib, {/*top_bits=*/16});
+    const auto table = dataplane::LpmTable::compile(fib);
     benchmark::DoNotOptimize(table.stats().table_bytes);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));

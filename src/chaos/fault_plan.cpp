@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iterator>
 #include <map>
 #include <set>
 
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace dragon::chaos {
@@ -106,17 +106,19 @@ struct JsonCursor {
     pos += k.size() + 2;
     return lit(':');
   }
-  bool number_u64(std::uint64_t& out) {
+  /// Consumes the longest run of `allowed` characters as a number token.
+  std::string_view token(std::string_view allowed) {
     skip_ws();
     const std::size_t begin = pos;
-    std::uint64_t v = 0;
-    while (pos < s.size() && s[pos] >= '0' && s[pos] <= '9') {
-      v = v * 10 + static_cast<std::uint64_t>(s[pos] - '0');
+    while (pos < s.size() && allowed.find(s[pos]) != std::string_view::npos) {
       ++pos;
     }
-    if (pos == begin) return false;
-    out = v;
-    return true;
+    return s.substr(begin, pos - begin);
+  }
+  bool number_u64(std::uint64_t& out) {
+    const auto v = util::parse_u64(token("0123456789"));
+    if (v) out = *v;
+    return v.has_value();
   }
   bool number_u32(std::uint32_t& out) {
     std::uint64_t v = 0;
@@ -125,25 +127,10 @@ struct JsonCursor {
     return true;
   }
   bool number_double(double& out) {
-    skip_ws();
-    // %.9g emits an optional sign, digits, optional fraction and exponent;
-    // delimit the token manually (string_view is not NUL-terminated).
-    const std::size_t begin = pos;
-    while (pos < s.size() &&
-           (s[pos] == '-' || s[pos] == '+' || s[pos] == '.' ||
-            s[pos] == 'e' || s[pos] == 'E' ||
-            (s[pos] >= '0' && s[pos] <= '9'))) {
-      ++pos;
-    }
-    if (pos == begin) return false;
-    char buf[64];
-    const std::size_t len = pos - begin;
-    if (len >= sizeof(buf)) return false;
-    std::memcpy(buf, s.data() + begin, len);
-    buf[len] = '\0';
-    char* end = nullptr;
-    out = std::strtod(buf, &end);
-    return end == buf + len;
+    // %.9g emits an optional sign, digits, optional fraction and exponent.
+    const auto v = util::parse_f64(token("0123456789+-.eE"));
+    if (v) out = *v;
+    return v.has_value();
   }
   bool string(std::string& out) {
     if (!lit('"')) return false;

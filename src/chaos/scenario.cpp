@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "algebra/gadgets.hpp"
 #include "algebra/gr_path_algebra.hpp"
@@ -14,6 +13,7 @@
 #include "engine/simulator.hpp"
 #include "exec/parallel.hpp"
 #include "topology/generator.hpp"
+#include "util/parse.hpp"
 
 namespace dragon::chaos {
 
@@ -32,27 +32,6 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) noexcept {
   h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
   h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
   return h ^ (h >> 31);
-}
-
-bool to_size(std::string_view v, std::size_t& out) {
-  if (v.empty()) return false;
-  std::size_t r = 0;
-  for (const char c : v) {
-    if (c < '0' || c > '9') return false;
-    r = r * 10 + static_cast<std::size_t>(c - '0');
-  }
-  out = r;
-  return true;
-}
-
-bool to_double(std::string_view v, double& out) {
-  char buf[64];
-  if (v.empty() || v.size() >= sizeof(buf)) return false;
-  std::memcpy(buf, v.data(), v.size());
-  buf[v.size()] = '\0';
-  char* end = nullptr;
-  out = std::strtod(buf, &end);
-  return end == buf + v.size();
 }
 
 /// The shared generated network of the leak/hijack/damping/jitter
@@ -442,41 +421,51 @@ std::optional<ScenarioSpec> ScenarioSpec::parse(std::string_view text) {
     if (eq == std::string_view::npos) return std::nullopt;
     const std::string_view key = tok.substr(0, eq);
     const std::string_view val = tok.substr(eq + 1);
+    const auto to_size = [val](std::size_t& out) {
+      const auto v = util::parse_u64(val);
+      if (v) out = *v;
+      return v.has_value();
+    };
+    const auto to_double = [val](double& out) {
+      const auto v = util::parse_f64(val);
+      if (v) out = *v;
+      return v.has_value();
+    };
     bool good = true;
     if (key == "variant") {
       spec.variant.assign(val);
     } else if (key == "ring") {
-      good = to_size(val, spec.ring);
+      good = to_size(spec.ring);
     } else if (key == "tier1") {
-      good = to_size(val, spec.tier1);
+      good = to_size(spec.tier1);
     } else if (key == "transit") {
-      good = to_size(val, spec.transit);
+      good = to_size(spec.transit);
     } else if (key == "stubs") {
-      good = to_size(val, spec.stubs);
+      good = to_size(spec.stubs);
     } else if (key == "prefixes") {
-      good = to_size(val, spec.prefixes);
+      good = to_size(spec.prefixes);
     } else if (key == "events") {
-      good = to_size(val, spec.events);
+      good = to_size(spec.events);
     } else if (key == "horizon") {
-      good = to_double(val, spec.horizon);
+      good = to_double(spec.horizon);
     } else if (key == "mrai") {
-      good = to_double(val, spec.mrai);
+      good = to_double(spec.mrai);
     } else if (key == "restore") {
-      good = to_double(val, spec.restore_prob);
+      good = to_double(spec.restore_prob);
     } else if (key == "penalty") {
-      good = to_double(val, spec.damp_penalty);
+      good = to_double(spec.damp_penalty);
     } else if (key == "suppress") {
-      good = to_double(val, spec.damp_suppress);
+      good = to_double(spec.damp_suppress);
     } else if (key == "reuse") {
-      good = to_double(val, spec.damp_reuse);
+      good = to_double(spec.damp_reuse);
     } else if (key == "half-life") {
-      good = to_double(val, spec.damp_half_life);
+      good = to_double(spec.damp_half_life);
     } else if (key == "jitter") {
-      good = to_double(val, spec.jitter);
+      good = to_double(spec.jitter);
     } else if (key == "max-events") {
-      good = to_size(val, spec.max_events);
+      good = to_size(spec.max_events);
     } else if (key == "sample-every") {
-      good = to_size(val, spec.sample_every);
+      good = to_size(spec.sample_every);
     } else {
       return std::nullopt;
     }

@@ -1,21 +1,20 @@
-// Compiling simulator routing state into servable LPM tables.
+// Snapshotting simulator routing state as FIBs for the data plane.
 //
-// The bridge between control plane and data plane: snapshot a node's
-// forwarding state out of a (quiescent) Simulator as a fibcomp::Fib —
-// next hops resolved exactly like Simulator::trace() resolves them, so
-// the compiled table forwards identically to the simulated node — then
-// flatten it into an immutable LpmTable with LpmTable::compile.
+// The bridge between control plane and data plane: snapshot every node's
+// forwarding state out of a (quiescent) Simulator as a fibcomp::Fib, with
+// next hops resolved by Simulator::next_hop (the rule trace() forwards
+// by), so a table compiled with LpmTable::compile forwards identically to
+// the simulated node.
 //
 // Two snapshot kinds make DRAGON's payoff measurable: kPostDragon is the
 // real FIB (elected, not filtered); kPreDragon additionally keeps the
-// entries DRAGON filtered, i.e. the table the node would serve without
+// entries DRAGON filtered, i.e. the table the node would hold without
 // aggregation.  bench_dataplane compiles both and compares bytes and
-// lookups/sec.
+// lookup cost.
 #pragma once
 
 #include <vector>
 
-#include "dataplane/lpm_table.hpp"
 #include "engine/simulator.hpp"
 #include "fibcomp/fib.hpp"
 
@@ -26,17 +25,10 @@ enum class SnapshotKind {
   kPreDragon,   ///< elected entries including DRAGON-filtered ones
 };
 
-/// Snapshot of one node's FIB.  Entry order follows the simulator's
-/// sorted per-node route iteration; next hops are kLocal for active
-/// originations, the lowest-id rib_in neighbour whose candidate equals
-/// the elected attribute over an alive link otherwise, kDrop when no
-/// such neighbour exists — the Simulator::trace() forwarding rule.
-[[nodiscard]] fibcomp::Fib fib_from_simulator(const engine::Simulator& sim,
-                                              engine::Simulator::NodeId node,
-                                              SnapshotKind kind);
-
-/// One pass over the whole RIB: the FIBs of every node at once (indexed
-/// by node id).  What bench_dataplane uses to pick its serving nodes.
+/// One pass over the whole RIB: the FIBs of every node (indexed by node
+/// id).  Entry order follows the simulator's sorted per-node route
+/// iteration; next hops are kLocal where Simulator::next_hop returns the
+/// node itself, kDrop where it returns nullopt, the neighbour otherwise.
 [[nodiscard]] std::vector<fibcomp::Fib> fibs_from_simulator(
     const engine::Simulator& sim, SnapshotKind kind);
 

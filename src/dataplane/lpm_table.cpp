@@ -1,9 +1,7 @@
 #include "dataplane/lpm_table.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <numeric>
-#include <stdexcept>
 #include <unordered_map>
 
 #include "obs/span.hpp"
@@ -13,21 +11,12 @@ namespace dragon::dataplane {
 using fibcomp::NextHop;
 using prefix::Address;
 
-LpmTable LpmTable::compile(const fibcomp::Fib& fib, const LpmConfig& config) {
+LpmTable LpmTable::compile(const fibcomp::Fib& fib) {
   DRAGON_SPAN_ARG("dataplane", "lpm_compile", "entries", fib.size());
-
-  if (config.top_bits != 8 && config.top_bits != 16 && config.top_bits != 24) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "LpmConfig::top_bits must be 8/16/24, got %d",
-                  config.top_bits);
-    throw std::invalid_argument(buf);
-  }
   fibcomp::check_fib_next_hops(fib);
 
   LpmTable t;
-  t.top_bits_ = config.top_bits;
-  t.root_shift_ = prefix::kAddressBits - config.top_bits;
-  t.top_.assign(std::size_t{1} << config.top_bits, 0);
+  t.top_.assign(std::size_t{1} << kTopBits, 0);
 
   // Palette: dedupe next hops into small codes.  Code 0 is "no match", so
   // palette index i is stored as i + 1.
@@ -71,9 +60,9 @@ LpmTable LpmTable::compile(const fibcomp::Fib& fib, const LpmConfig& config) {
     const std::uint32_t code = code_of(fib[i].next_hop);
     const int len = p.length();
 
-    if (len <= t.top_bits_) {
-      const std::size_t lo = first >> t.root_shift_;
-      const std::size_t count = std::size_t{1} << (t.top_bits_ - len);
+    if (len <= kTopBits) {
+      const std::size_t lo = first >> kRootShift;
+      const std::size_t count = std::size_t{1} << (kTopBits - len);
       std::fill_n(t.top_.begin() + static_cast<std::ptrdiff_t>(lo), count,
                   code);
       continue;
@@ -83,9 +72,9 @@ LpmTable LpmTable::compile(const fibcomp::Fib& fib, const LpmConfig& config) {
     // level whose stride contains the prefix's last bits; fill the
     // 2^(8 - rem) aligned slots it covers there.
     bool in_root = true;
-    std::size_t slot = first >> t.root_shift_;
-    int shift = t.root_shift_;
-    int rem = len - t.top_bits_;
+    std::size_t slot = first >> kRootShift;
+    int shift = kRootShift;
+    int rem = len - kTopBits;
     int depth = 0;
     for (;;) {
       const std::uint32_t e = in_root ? t.top_[slot] : t.buckets_[slot];

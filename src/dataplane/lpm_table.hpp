@@ -1,12 +1,10 @@
-// Compiled LPM lookup table — the data-plane serving structure.
+// Compiled LPM lookup table — the data-plane forwarding structure.
 //
-// A generalised DIR-24-8 layout: a dense root array indexed by the top
-// `top_bits` address bits, then chained 256-entry overflow buckets, one
-// 8-bit stride per level, for prefixes longer than the root covers.  With
-// top_bits = 24 this is the classic DIR-24-8 scheme (64 MiB root, buckets
-// only for /25../32); smaller roots trade root bytes for bucket chains and
-// make table size track FIB content, which is what the pre- vs post-DRAGON
-// comparison in bench_dataplane measures.
+// A DIR-16-8-8 layout: a dense root array indexed by the top kTopBits = 16
+// address bits, then chained 256-entry overflow buckets, one 8-bit stride
+// per level, for prefixes longer than /16 (a /32 sits two buckets deep).
+// Bucket count tracks FIB content, so table bytes measure what DRAGON's
+// filtering saves; bench_dataplane compares pre- vs post-DRAGON tables.
 //
 // Entry encoding (u32, shared by root and buckets):
 //   0                      — no match at or below this slot (lookup → kDrop)
@@ -17,9 +15,7 @@
 // (an AS's neighbour count), so entries stay small u32s while next hops
 // keep the full fibcomp::NextHop space including kDrop/kLocal sentinels.
 //
-// Tables are immutable after compile() — lookup() is const, data-race-free
-// by construction, and safe to share across any number of reader threads
-// (dataplane::serve hands one const table to every pool worker).
+// Tables are immutable after compile(); lookup() is const.
 #pragma once
 
 #include <cstdint>
@@ -30,13 +26,6 @@
 
 namespace dragon::dataplane {
 
-struct LpmConfig {
-  /// Width of the dense root index; must be 8, 16 or 24 so every level
-  /// consumes a whole 8-bit stride and a /32 fits in at most 3 chained
-  /// buckets below the root.
-  int top_bits = 16;
-};
-
 /// Compile-time facts about a table, exported as dragon.dataplane.* metrics.
 struct LpmStats {
   std::size_t entries = 0;       ///< FIB entries compiled in
@@ -44,24 +33,26 @@ struct LpmStats {
   std::size_t bucket_count = 0;  ///< 256-entry overflow buckets allocated
   std::size_t table_bytes = 0;   ///< root + buckets + palette, in bytes
   /// bucket_depth_hist[d] = buckets whose chain depth below the root is
-  /// d+1 (a /32 under top_bits=16 reaches depth 2).
+  /// d+1 (a /32 reaches depth 2).
   std::vector<std::size_t> bucket_depth_hist;
 };
 
 class LpmTable {
  public:
-  /// Compiles a FIB into a flat table.  Throws std::invalid_argument when
-  /// the config is unsupported or the FIB trips check_fib_next_hops; when
-  /// the same prefix appears twice the later entry wins (matching
-  /// PrefixTrie::insert overwrite semantics).
-  [[nodiscard]] static LpmTable compile(const fibcomp::Fib& fib,
-                                        const LpmConfig& config = {});
+  /// Width of the dense root index; every deeper level is an 8-bit stride.
+  static constexpr int kTopBits = 16;
 
-  /// Longest-prefix-match lookup; kDrop when nothing matches.  Wait-free,
-  /// no allocation, safe from any thread for the table's whole lifetime.
+  /// Compiles a FIB into a flat table.  Throws std::invalid_argument when
+  /// the FIB trips check_fib_next_hops; when the same prefix appears twice
+  /// the later entry wins (matching PrefixTrie::insert overwrite
+  /// semantics).
+  [[nodiscard]] static LpmTable compile(const fibcomp::Fib& fib);
+
+  /// Longest-prefix-match lookup; kDrop when nothing matches.  No
+  /// allocation.
   [[nodiscard]] fibcomp::NextHop lookup(prefix::Address addr) const noexcept {
-    std::uint32_t e = top_[addr >> root_shift_];
-    int shift = root_shift_;
+    std::uint32_t e = top_[addr >> kRootShift];
+    int shift = kRootShift;
     while (e & kBucketBit) {
       shift -= 8;
       e = buckets_[((e & ~kBucketBit) << 8) |
@@ -71,15 +62,13 @@ class LpmTable {
   }
 
   [[nodiscard]] const LpmStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] int top_bits() const noexcept { return top_bits_; }
 
  private:
   static constexpr std::uint32_t kBucketBit = 0x80000000u;
+  static constexpr int kRootShift = prefix::kAddressBits - kTopBits;
 
   LpmTable() = default;
 
-  int top_bits_ = 0;
-  int root_shift_ = 0;  ///< kAddressBits - top_bits_
   std::vector<std::uint32_t> top_;
   std::vector<std::uint32_t> buckets_;  ///< flat; bucket b = [256*b, 256*b+256)
   std::vector<fibcomp::NextHop> palette_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "exec/parallel.hpp"
 #include "obs/span.hpp"
 
 namespace dragon::dataplane {
@@ -45,35 +44,16 @@ Address QueryGen::draw(util::Rng& rng) const noexcept {
   return first_[i] + static_cast<Address>(rng.below(size_[i]));
 }
 
-BatchResult serve(const LpmTable& table, const QueryGen& gen,
-                  exec::ThreadPool* pool, std::uint64_t seed,
-                  std::uint64_t count) {
+ServeResult serve(const LpmTable& table, const QueryGen& gen,
+                  std::uint64_t seed, std::uint64_t count) {
   DRAGON_SPAN_ARG("dataplane", "serve", "queries", count);
-  // Queries per chunk are a pure function of count — the static_chunks
-  // split — and each chunk's RNG is forked by chunk index, so the
-  // combined result is thread-count-invariant.
-  const auto ranges = exec::static_chunks(count, exec::kDefaultChunks);
-  std::vector<BatchResult> results(ranges.size());
-  exec::ParallelOptions opts;
-  opts.chunks = ranges.size();
-  opts.seed = seed;
-  exec::parallel_for(
-      pool, ranges.size(),
-      [&](std::size_t i, exec::TaskContext& ctx) {
-        BatchResult& r = results[i];
-        r.lookups = ranges[i].second - ranges[i].first;
-        for (std::uint64_t q = 0; q < r.lookups; ++q) {
-          const Address addr = gen.draw(ctx.rng);
-          const fibcomp::NextHop nh = table.lookup(addr);
-          if (nh != fibcomp::kDrop) ++r.hits;
-          std::uint64_t h = (static_cast<std::uint64_t>(addr) << 32) | nh;
-          r.checksum += util::splitmix64(h);
-        }
-      },
-      opts);
-  BatchResult combined;
-  for (const BatchResult& r : results) combined += r;
-  return combined;
+  util::Rng rng(seed);
+  ServeResult r;
+  r.lookups = count;
+  for (std::uint64_t q = 0; q < count; ++q) {
+    if (table.lookup(gen.draw(rng)) != fibcomp::kDrop) ++r.hits;
+  }
+  return r;
 }
 
 }  // namespace dragon::dataplane

@@ -1,18 +1,15 @@
-// Batched LPM query serving over a compiled table.
+// LPM query serving over a compiled table.
 //
 // Query streams come from a QueryGen (uniform or Zipf-skewed mixes over
-// the FIB's prefixes) driven by per-chunk RNG streams forked exec-style,
-// so serve() is bit-identical for any thread count.  An LpmTable is
-// immutable after compile, so any number of pool workers can share one
-// `const LpmTable&`; workers return plain BatchResults that the calling
-// thread sums after the join.
+// the FIB's prefixes) driven by one util::Rng, so serve() is a pure
+// function of (table, gen, seed, count).  bench_dataplane replays the
+// same stream against a node's pre- and post-DRAGON tables.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "dataplane/lpm_table.hpp"
-#include "exec/thread_pool.hpp"
 #include "fibcomp/fib.hpp"
 #include "util/rng.hpp"
 
@@ -32,7 +29,7 @@ struct QueryMix {
 };
 
 /// Precompiled sampler: draw(rng) returns one query address.  Immutable
-/// after construction — shareable across reader threads.
+/// after construction.
 class QueryGen {
  public:
   QueryGen(const fibcomp::Fib& fib, QueryMix mix);
@@ -51,29 +48,14 @@ class QueryGen {
   std::vector<double> cdf_;  ///< Zipf CDF over prefixes; empty for uniform
 };
 
-/// One reader's tally over a batch of queries.  checksum is an
-/// order-independent sum of per-query hashes, so chunk results combine
-/// associatively and a parallel serve can be compared bit-for-bit
-/// against a serial one.
-struct BatchResult {
+/// Tally of one serve() call.
+struct ServeResult {
   std::uint64_t lookups = 0;
   std::uint64_t hits = 0;  ///< results != kDrop
-  std::uint64_t checksum = 0;
-
-  BatchResult& operator+=(const BatchResult& o) noexcept {
-    lookups += o.lookups;
-    hits += o.hits;
-    checksum += o.checksum;
-    return *this;
-  }
 };
 
-/// Serves `count` queries drawn from `gen` against `table`, split over
-/// exec::kDefaultChunks exec::static_chunks ranges on `pool` (nullptr:
-/// inline).  Chunk i draws from Rng(seed).fork_stream(i), so the combined
-/// result is identical for any thread count.
-[[nodiscard]] BatchResult serve(const LpmTable& table, const QueryGen& gen,
-                                exec::ThreadPool* pool, std::uint64_t seed,
-                                std::uint64_t count);
+/// Serves `count` queries drawn from `gen` with Rng(seed) against `table`.
+[[nodiscard]] ServeResult serve(const LpmTable& table, const QueryGen& gen,
+                                std::uint64_t seed, std::uint64_t count);
 
 }  // namespace dragon::dataplane

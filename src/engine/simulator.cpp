@@ -156,6 +156,10 @@ std::uint32_t Simulator::project(Attr a) const {
 }
 
 void Simulator::originate(const Prefix& p, NodeId origin, Attr attr) {
+  if (origin >= topo_.node_count()) {
+    DRAGON_LOG_WARN("originate(%u): no such node; ignored", origin);
+    return;
+  }
   const PrefixId pid = interner_.intern(p);
   // A chaos origin-flap can land on a node that is currently crashed: the
   // registry assignment changes, but there is no control plane to act on
@@ -222,6 +226,10 @@ void Simulator::originate(const Prefix& p, NodeId origin, Attr attr) {
 }
 
 void Simulator::withdraw_origin(const Prefix& p, NodeId origin) {
+  if (origin >= topo_.node_count()) {
+    DRAGON_LOG_WARN("withdraw_origin(%u): no such node; ignored", origin);
+    return;
+  }
   const PrefixId pid = interner_.intern(p);
   // Mirror of originate()'s down-node handling: withdrawing at a crashed
   // node edits the configuration only.  The record must go now (or a
@@ -541,6 +549,16 @@ Simulator::failed_links() const {
   return out;
 }
 
+std::optional<topology::NodeId> Simulator::next_hop(
+    NodeId u, const RouteEntry& entry) const {
+  if (entry.originated && !entry.origin_paused) return u;
+  for (const auto& [v, attr] : entry.rib_in) {
+    // rib_in is sorted by neighbour id: the first match is the lowest.
+    if (attr == entry.elected && link_alive(u, v)) return v;
+  }
+  return std::nullopt;
+}
+
 Simulator::TraceResult Simulator::trace(NodeId from,
                                         prefix::Address dst) const {
   TraceResult result{Outcome::kDelivered, {from}};
@@ -551,7 +569,6 @@ Simulator::TraceResult Simulator::trace(NodeId from,
     const NodeState& node = nodes_[u];
     const RouteEntry* best_entry = nullptr;
     int best_len = -1;
-    Attr best_attr = kUnreachable;
     node.routes.for_each_sorted(
         interner_, [&](PrefixId id, const RouteEntry& e) {
           if (e.elected == kUnreachable || e.filtered) return;
@@ -559,33 +576,20 @@ Simulator::TraceResult Simulator::trace(NodeId from,
           if (!p.contains(dst)) return;
           if (p.length() > best_len) {
             best_len = p.length();
-            best_attr = e.elected;
             best_entry = &e;
           }
         });
-    if (best_entry == nullptr) {
+    const std::optional<NodeId> hop =
+        best_entry == nullptr ? std::nullopt : next_hop(u, *best_entry);
+    if (!hop) {
       result.outcome = Outcome::kBlackHole;
       return result;
     }
-    if (best_entry->originated && !best_entry->origin_paused) {
+    if (*hop == u) {
       result.outcome = Outcome::kDelivered;
       return result;
     }
-    // Deterministic forwarding neighbour: lowest id whose candidate equals
-    // the elected attribute.
-    NodeId next = 0;
-    bool found = false;
-    for (const auto& [v, attr] : best_entry->rib_in) {
-      if (attr == best_attr && link_alive(u, v)) {
-        next = v;
-        found = true;
-        break;  // rib_in is sorted by neighbour id: lowest first
-      }
-    }
-    if (!found) {
-      result.outcome = Outcome::kBlackHole;
-      return result;
-    }
+    const NodeId next = *hop;
     if (!visited.insert(next).second) {
       result.path.push_back(next);
       result.outcome = Outcome::kLoop;

@@ -167,10 +167,13 @@ class Simulator {
             Config config);
 
   /// Injects an origination (assigned prefix).  The prefix is also watched
-  /// for §3.8 re-aggregation when that feature is on.
+  /// for §3.8 re-aggregation when that feature is on.  An origin that is
+  /// not a node of the topology is a warned no-op (chaos plans name nodes
+  /// by id).
   void originate(const Prefix& p, NodeId origin, Attr attr);
 
-  /// Removes an origination (prefix returned to the registry).
+  /// Removes an origination (prefix returned to the registry); a warned
+  /// no-op for an invalid origin, like originate().
   void withdraw_origin(const Prefix& p, NodeId origin);
 
   /// Registers a root for §3.7 self-organised aggregation without anyone
@@ -323,6 +326,14 @@ class Simulator {
   /// Does u currently originate p (actively announcing)?
   [[nodiscard]] bool originates(NodeId u, const Prefix& p) const;
 
+  /// The forwarding rule for one of u's route entries: u itself for an
+  /// active origination, else the lowest-id rib_in neighbour whose
+  /// candidate equals the elected attribute over an alive link, else
+  /// nullopt (a black hole).  trace() and the data-plane FIB snapshot
+  /// both forward by this rule.
+  [[nodiscard]] std::optional<NodeId> next_hop(NodeId u,
+                                               const RouteEntry& entry) const;
+
   enum class Outcome { kDelivered, kBlackHole, kLoop };
   struct TraceResult {
     Outcome outcome;
@@ -353,8 +364,6 @@ class Simulator {
   void restore(const std::shared_ptr<const Snapshot>& snap);
 
  private:
-  friend struct SimulatorHooks;
-
   struct OriginationRecord {
     Prefix root;
     NodeId origin;

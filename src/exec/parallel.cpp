@@ -36,7 +36,6 @@ void parallel_for(ThreadPool* pool, std::size_t n,
       : workers <= 1    ? 1
                         : std::min(n, workers * kChunksPerWorker);
   const auto ranges = static_chunks(n, chunk_count);
-  const util::Rng base(opts.seed);
 
   // Error policy: run every chunk even after a failure, then rethrow the
   // lowest-indexed failing chunk's exception.  A failure at chunk c says
@@ -57,9 +56,7 @@ void parallel_for(ThreadPool* pool, std::size_t n,
         DRAGON_SPAN_ARG3("exec", "chunk", "chunk", c, "begin",
                          ranges[c].first, "items",
                          ranges[c].second - ranges[c].first);
-        TaskContext ctx;
-        ctx.chunk = c;
-        ctx.rng = base.fork_stream(c);
+        TaskContext ctx{c};
         for (std::size_t i = ranges[c].first; i < ranges[c].second; ++i) {
           body(i, ctx);
         }

@@ -2,18 +2,14 @@
 //
 // The contract that everything in this header upholds: **for a fixed
 // chunk count, results are bit-identical for any thread count, including
-// 1** (and for pool == nullptr, which runs inline).  Three rules make
+// 1** (and for pool == nullptr, which runs inline).  Two rules make
 // that hold:
 //
 //   1. Static chunking.  [0, n) is split into a chunk list that is a pure
 //      function of (n, chunks) — never of runtime timing.  Chunks are the
 //      unit of scheduling; which worker runs a chunk is irrelevant
 //      because chunks never share mutable state.
-//   2. Per-chunk RNG forking.  Each chunk's TaskContext carries an Rng
-//      forked as Rng(opts.seed).fork_stream(chunk) — a pure function of
-//      (seed, chunk index), not of dispatch order — so stochastic bodies
-//      draw identical streams no matter how chunks interleave.
-//   3. A task owns its metrics; callers merge results in index order.
+//   2. A task owns its metrics; callers merge results in index order.
 //      The runtime hands bodies no shared registry: a body that counts
 //      things returns them in its result (or writes its own slot), and
 //      the caller folds the results on its own thread after the join.
@@ -27,9 +23,9 @@
 // Default granularity: when opts.chunks == 0 the chunk count adapts to
 // the pool — 1 chunk inline or on a 1-worker pool, else
 // min(n, workers * kChunksPerWorker).  The adaptive default therefore
-// DEPENDS on the pool size: bodies that consume ctx.rng or per-chunk
-// identity and need cross-thread-count bit-identity must pin
-// opts.chunks explicitly (every stochastic caller in-tree does).
+// DEPENDS on the pool size: bodies that consume per-chunk identity
+// (ctx.chunk) and need cross-thread-count bit-identity must pin
+// opts.chunks explicitly.
 //
 // Exception propagation: if any chunk body throws, every chunk still
 // runs, then parallel_for rethrows the lowest-indexed failing chunk's
@@ -38,13 +34,11 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <utility>
 #include <vector>
 
 #include "exec/thread_pool.hpp"
-#include "util/rng.hpp"
 
 namespace dragon::exec {
 
@@ -52,30 +46,21 @@ namespace dragon::exec {
 struct TaskContext {
   /// Chunk index in [0, chunk_count) — stable across thread counts.
   std::size_t chunk = 0;
-  /// The chunk's private RNG stream: Rng(seed).fork_stream(chunk).
-  util::Rng rng{0};
 };
 
 struct ParallelOptions {
   /// Fixed chunk count; 0 picks the adaptive default (1 when inline or on
   /// a 1-worker pool, else min(n, workers * kChunksPerWorker), which
   /// varies with the pool size).  Pin this to a constant when the body
-  /// consumes ctx.rng or per-chunk identity and results must be
-  /// bit-identical across thread counts.
+  /// consumes per-chunk identity and results must be bit-identical across
+  /// thread counts.
   std::size_t chunks = 0;
-  /// Base seed for the per-chunk RNG streams.
-  std::uint64_t seed = 0;
 };
 
 /// Chunks per worker under the adaptive default: enough slack for the
 /// ticket scheduler to balance uneven chunks without shrinking chunks to
 /// per-item dispatch.
 inline constexpr std::size_t kChunksPerWorker = 8;
-
-/// Pool-size-independent chunk count for callers that pin their chunking
-/// (dataplane::serve's query batches).  Not the parallel_for default —
-/// see ParallelOptions::chunks.
-inline constexpr std::size_t kDefaultChunks = 64;
 
 /// Splits [0, n) into at most `chunks` contiguous [begin, end) ranges of
 /// near-equal size (earlier chunks get the remainder).  Pure function of

@@ -3,8 +3,8 @@
 // The pool is deliberately minimal: a bounded set of workers, a FIFO task
 // queue, futures for results and exception propagation, and a graceful
 // shutdown that still runs every task queued before shutdown() was called.
-// All *determinism* machinery (static chunking, per-chunk RNG forking,
-// the ticket-claiming drain loop) lives one layer up in exec/parallel.hpp
+// All *determinism* machinery (static chunking, the ticket-claiming
+// drain loop) lives one layer up in exec/parallel.hpp
 // — the pool itself only promises that every submitted task runs exactly
 // once on some worker thread.
 //

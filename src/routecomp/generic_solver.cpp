@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "exec/parallel.hpp"
 
 namespace dragon::routecomp {
 
@@ -93,19 +92,6 @@ SolveResult solve(const Algebra& algebra, const LabeledNetwork& net,
                   const std::vector<char>* suppressed, int max_rounds) {
   const Origination one[1] = {{origin, origin_attr}};
   return solve_multi(algebra, net, one, suppressed, max_rounds);
-}
-
-std::vector<SolveResult> solve_batch(const Algebra& algebra,
-                                     const LabeledNetwork& net,
-                                     std::span<const Origination> originations,
-                                     const std::vector<char>* suppressed,
-                                     int max_rounds, exec::ThreadPool* pool) {
-  return exec::parallel_map<SolveResult>(
-      pool, originations.size(),
-      [&](std::size_t i, exec::TaskContext&) {
-        return solve(algebra, net, originations[i].origin,
-                     originations[i].attr, suppressed, max_rounds);
-      });
 }
 
 std::vector<NodeId> solver_forwarding_neighbors(

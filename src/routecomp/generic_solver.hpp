@@ -21,10 +21,6 @@
 #include "algebra/algebra.hpp"
 #include "topology/graph.hpp"
 
-namespace dragon::exec {
-class ThreadPool;
-}
-
 namespace dragon::routecomp {
 
 /// A learning relation: `learner` derives a candidate from `speaker`'s
@@ -97,16 +93,6 @@ struct Origination {
     const algebra::Algebra& algebra, const LabeledNetwork& net,
     std::span<const Origination> origins,
     const std::vector<char>* suppressed = nullptr, int max_rounds = 1000);
-
-/// Per-prefix parallel solving: one independent solve() per origination
-/// (each models its own prefix), chunked over `pool` (nullptr runs
-/// sequentially).  Results are index-aligned with `originations` and
-/// bit-identical for any thread count (DESIGN.md §8).
-[[nodiscard]] std::vector<SolveResult> solve_batch(
-    const algebra::Algebra& algebra, const LabeledNetwork& net,
-    std::span<const Origination> originations,
-    const std::vector<char>* suppressed = nullptr, int max_rounds = 1000,
-    exec::ThreadPool* pool = nullptr);
 
 /// Forwarding neighbours of `u` in a solved state: speakers whose extended
 /// elected attribute equals u's elected attribute (§2).  Empty at origin.

@@ -6,34 +6,11 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "util/parse.hpp"
+
 namespace dragon::util {
 
 namespace {
-
-/// Strict base-10 integer parse: the whole string must be consumed and the
-/// value must fit an int64 (no silent atoi-style truncation).
-std::optional<std::int64_t> parse_i64(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno == ERANGE || end != s.c_str() + s.size()) return std::nullopt;
-  return static_cast<std::int64_t>(v);
-}
-
-/// Strict floating-point parse: the whole string must be consumed and the
-/// value must be finite (strtod alone would accept "nan", "inf" and a
-/// numeric prefix of "1x").
-std::optional<double> parse_f64(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (errno == ERANGE || end != s.c_str() + s.size() || !std::isfinite(v)) {
-    return std::nullopt;
-  }
-  return v;
-}
 
 /// Strict duration parse: a non-negative decimal number immediately
 /// followed by a unit suffix (`ms`, `s`, `m`, `h`) consuming the whole

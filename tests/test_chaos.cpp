@@ -258,6 +258,12 @@ TEST(FaultPlan, FromJsonRejectsMalformedInput) {
       "{\"seed\":1,\"actions\":[{\"t\":0,\"kind\":\"origin_withdraw\","
       "\"origin\":1,\"attr\":2,\"prefix\":\"1x\"}]}",
       "{\"seed\":1,\"actions\":[]}trailing",
+      // Numbers must fit and be finite: no wrap-around, no inf times.
+      "{\"seed\":18446744073709551617,\"actions\":[]}",
+      "{\"seed\":1,\"actions\":[{\"t\":1e999,\"kind\":\"link_fail\","
+      "\"a\":0,\"b\":1}]}",
+      "{\"seed\":1,\"actions\":[{\"t\":0,\"kind\":\"link_fail\","
+      "\"a\":4294967296,\"b\":1}]}",
   };
   for (const char* s : bad) {
     EXPECT_FALSE(FaultPlan::from_json(s).has_value()) << s;
@@ -266,6 +272,31 @@ TEST(FaultPlan, FromJsonRejectsMalformedInput) {
   EXPECT_TRUE(FaultPlan::from_json("{\"seed\":1,\"actions\":[]}").has_value());
   EXPECT_TRUE(FaultPlan::from_json(" { \"seed\" : 1 , \"actions\" : [ ] } ")
                   .has_value());
+  const auto max_seed =
+      FaultPlan::from_json("{\"seed\":18446744073709551615,\"actions\":[]}");
+  ASSERT_TRUE(max_seed.has_value());
+  EXPECT_EQ(max_seed->seed, 18446744073709551615ull);
+}
+
+TEST(FaultPlan, OutOfRangeOriginReplaysAsNoOp) {
+  // from_json accepts any u32 origin; the simulator must ignore one that
+  // names no node instead of indexing past its node table.
+  const auto topo = F2::topology();
+  const auto plan = FaultPlan::from_json(
+      "{\"seed\":1,\"actions\":["
+      "{\"t\":0.5,\"kind\":\"origin_announce\",\"origin\":4000000000,"
+      "\"attr\":0,\"prefix\":\"10\"},"
+      "{\"t\":1,\"kind\":\"origin_withdraw\",\"origin\":4000000000,"
+      "\"attr\":0,\"prefix\":\"10\"}]}");
+  ASSERT_TRUE(plan.has_value());
+  GrPathAlgebra alg;
+  Simulator sim(topo, alg, bgp_config());
+  schedule_plan(sim, *plan);
+  quiesce(sim);
+  EXPECT_TRUE(sim.origin_records().empty());
+  for (NodeId u = 0; u < topo.node_count(); ++u) {
+    EXPECT_EQ(sim.fib_size(u), 0u) << u;
+  }
 }
 
 TEST(FaultPlan, NetDownNodesReplaysCrashesAndRestarts) {

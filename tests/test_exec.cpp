@@ -1,8 +1,7 @@
 // Parallel execution runtime tests (DESIGN.md §8): thread-pool lifecycle,
-// the determinism contract of parallel_for / fork_stream across thread
-// counts, and parallel-vs-sequential equality for
-// the wired subsystems (GR sweeps, the generic solver, chaos schedule
-// sweeps).  The ExecSmoke suite is the `exec_smoke` ctest entry and the
+// the determinism contract of parallel_for across thread counts (static
+// chunk ownership), Rng::fork_stream, and parallel-vs-sequential equality
+// for the wired subsystems (GR sweeps, chaos schedule sweeps).  The ExecSmoke suite is the `exec_smoke` ctest entry and the
 // tsan-exec-smoke preset filter.
 #include <gtest/gtest.h>
 
@@ -21,7 +20,6 @@
 #include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "paper_networks.hpp"
-#include "routecomp/generic_solver.hpp"
 #include "routecomp/gr_sweep.hpp"
 #include "topology/generator.hpp"
 #include "util/rng.hpp"
@@ -33,7 +31,6 @@ using algebra::GrClass;
 using algebra::GrPathAlgebra;
 using prefix::Prefix;
 using topology::NodeId;
-using F1 = dragon::testing::Figure1;
 using F2 = dragon::testing::Figure2;
 
 Prefix bp(const char* s) { return *Prefix::from_bit_string(s); }
@@ -176,70 +173,52 @@ TEST(ExecSmoke, ForkStreamIsPureAndPerStream) {
 }
 
 // ---------------------------------------------------------------------------
-// parallel_for determinism (RNG streams + chunk ownership)
+// parallel_for determinism (chunk ownership)
 // ---------------------------------------------------------------------------
-
-/// Per-index results of one stochastic loop: the body's RNG draw and the
-/// chunk that ran the index.  Each slot is written by its owning chunk
-/// only, so the body needs no shared state.
-struct ParallelRun {
-  std::vector<std::uint64_t> values;
-  std::vector<std::size_t> chunks;
-};
 
 constexpr std::size_t kFixedChunks = 16;  // must not depend on threads
 
-ParallelRun run_stochastic_loop(ThreadPool* pool, std::size_t n) {
-  ParallelRun run;
-  run.values.assign(n, 0);
-  run.chunks.assign(n, kFixedChunks);  // sentinel: index never ran
+/// The chunk that ran each index of one pinned-chunk loop.  Each slot is
+/// written by its owning chunk only, so the body needs no shared state.
+std::vector<std::size_t> owning_chunks(ThreadPool* pool, std::size_t n) {
+  std::vector<std::size_t> chunks(n, kFixedChunks);  // sentinel: never ran
   ParallelOptions opts;
   opts.chunks = kFixedChunks;
-  opts.seed = 99;
   parallel_for(
       pool, n,
-      [&run](std::size_t i, TaskContext& ctx) {
-        run.values[i] = ctx.rng() ^ (i * 0x9E3779B97F4A7C15ULL);
-        run.chunks[i] = ctx.chunk;
-      },
+      [&chunks](std::size_t i, TaskContext& ctx) { chunks[i] = ctx.chunk; },
       opts);
-  return run;
+  return chunks;
 }
 
 TEST(ExecSmoke, ParallelForIsThreadCountInvariant) {
   constexpr std::size_t kN = 500;
-  const ParallelRun inline_run = run_stochastic_loop(nullptr, kN);
+  const auto inline_run = owning_chunks(nullptr, kN);
   // The inline run is the static chunk list itself: every index ran, in
   // the chunk static_chunks assigns it.
   const auto ranges = static_chunks(kN, kFixedChunks);
   ASSERT_EQ(ranges.size(), kFixedChunks);
   for (std::size_t c = 0; c < ranges.size(); ++c) {
     for (std::size_t i = ranges[c].first; i < ranges[c].second; ++i) {
-      EXPECT_EQ(inline_run.chunks[i], c) << "index " << i;
+      EXPECT_EQ(inline_run[i], c) << "index " << i;
     }
   }
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     ThreadPool pool(threads);
-    const ParallelRun run = run_stochastic_loop(&pool, kN);
-    EXPECT_EQ(run.values, inline_run.values) << threads << " threads";
-    EXPECT_EQ(run.chunks, inline_run.chunks) << threads << " threads";
+    EXPECT_EQ(owning_chunks(&pool, kN), inline_run) << threads << " threads";
   }
 }
 
 TEST(ExecSmoke, TicketSchedulerDeterministicAcrossThreadsAndRepeats) {
   // The ticket scheduler assigns chunks to lanes by claim order, which
-  // varies run to run — results must not.  Every thread count and every
-  // repeat must reproduce the inline run bit-for-bit: the same draw and
-  // the same owning chunk for every index.
+  // varies run to run — chunk ownership must not.  Every thread count and
+  // every repeat must reproduce the inline run's owning chunk per index.
   constexpr std::size_t kN = 300;
-  const ParallelRun reference = run_stochastic_loop(nullptr, kN);
+  const auto reference = owning_chunks(nullptr, kN);
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     for (int repeat = 0; repeat < 2; ++repeat) {
       ThreadPool pool(threads);
-      const ParallelRun run = run_stochastic_loop(&pool, kN);
-      EXPECT_EQ(run.values, reference.values)
-          << threads << " threads, repeat " << repeat;
-      EXPECT_EQ(run.chunks, reference.chunks)
+      EXPECT_EQ(owning_chunks(&pool, kN), reference)
           << threads << " threads, repeat " << repeat;
     }
   }
@@ -329,26 +308,6 @@ TEST(ExecSmoke, GrSweepBatchMatchesSequential) {
     EXPECT_EQ(batch[i].origins, solo.origins) << "origin " << origins[i];
     EXPECT_EQ(batch[i].cls, solo.cls) << "origin " << origins[i];
     EXPECT_EQ(batch[i].dist, solo.dist) << "origin " << origins[i];
-  }
-}
-
-TEST(ExecSmoke, SolveBatchMatchesSequential) {
-  const auto topo = F1::topology();
-  const auto net = routecomp::LabeledNetwork::from_topology(topo);
-  GrPathAlgebra alg;
-  std::vector<routecomp::Origination> origins;
-  for (NodeId u = 0; u < topo.node_count(); ++u) origins.push_back({u, kCust});
-
-  ThreadPool pool(8);
-  const auto batch = routecomp::solve_batch(alg, net, origins, nullptr, 1000,
-                                            &pool);
-  ASSERT_EQ(batch.size(), origins.size());
-  for (std::size_t i = 0; i < origins.size(); ++i) {
-    const auto solo =
-        routecomp::solve(alg, net, origins[i].origin, origins[i].attr);
-    EXPECT_EQ(batch[i].attr, solo.attr) << "origin " << origins[i].origin;
-    EXPECT_EQ(batch[i].converged, solo.converged);
-    EXPECT_EQ(batch[i].rounds, solo.rounds);
   }
 }
 

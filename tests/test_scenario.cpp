@@ -65,6 +65,10 @@ TEST(ScenarioSmoke, SpecRejectsMalformedText) {
       "leak:=3",    "leak:events=x",  "leak:events=0",    "leak:nope=3",
       "hijack:ring",
       "divergence:sample-every=0",
+      // Numbers must be whole, in range and finite.
+      "jitter:jitter=nan",  "leak:horizon=1e999", "leak:horizon=inf",
+      "leak:mrai=0.5x",     "leak:events=-1",     "leak:events=+3",
+      "leak:events=18446744073709551617",
   };
   for (const char* s : bad) {
     EXPECT_FALSE(ScenarioSpec::parse(s).has_value()) << s;

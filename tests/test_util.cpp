@@ -10,6 +10,7 @@
 #include "stats/table.hpp"
 #include "util/flags.hpp"
 #include "util/log.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace dragon {
@@ -181,6 +182,23 @@ TEST(Flags, IntFlagRejectsMalformedValues) {
     flags.define_int("threads", 4, "workers", 1, 4096);
     const char* argv[] = {"prog", bad};
     EXPECT_FALSE(flags.parse(2, const_cast<char**>(argv))) << bad;
+  }
+}
+
+TEST(StrictParse, WholeTokenInRangeAndFinite) {
+  EXPECT_EQ(util::parse_u64("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(util::parse_i64("-5"), -5);
+  EXPECT_EQ(util::parse_f64("1e+07"), 1e7);
+  EXPECT_EQ(util::parse_f64(".5"), 0.5);
+  for (const char* bad : {"", "+5", " 5", "5 ", "5x", "-1",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(util::parse_u64(bad).has_value()) << bad;
+  }
+  EXPECT_FALSE(util::parse_i64("9223372036854775808").has_value());
+  for (const char* bad : {"", "nan", "inf", "-inf", "1e999", "0x10", "+1",
+                          "1.5.2"}) {
+    EXPECT_FALSE(util::parse_f64(bad).has_value()) << bad;
   }
 }
 

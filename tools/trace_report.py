@@ -17,6 +17,12 @@ profile of the compute bucket (how much wall-clock had k threads
 computing at once), and the derived decomposition: serial fraction,
 average parallelism, worker imbalance, commit overhead.
 
+Worker imbalance is max-min compute among the workers of one pool.  A
+run may create several pools whose workers share the ``pool.worker-N``
+names (bench_scaling runs one pool per thread count), so workers are
+grouped into pools by overlapping active windows: workers whose windows
+overlap belong to the same pool.
+
 ``--check`` turns the tool into a validator for CI smoke tests: it
 verifies the document structure (metadata rows, complete events, proper
 per-thread nesting) and, with ``--min-coverage``, that attribution
@@ -184,6 +190,8 @@ def analyze(doc, threads):
         per_thread.append({
             "tid": tid,
             "name": names.get(tid, "tid-%s" % tid),
+            "first": first,
+            "last": last,
             "window": window,
             "attributed": attributed,
             "coverage": attributed / window if window > 0 else 1.0,
@@ -198,8 +206,32 @@ def analyze(doc, threads):
         "threads": per_thread,
         "profile": profile,
         "wall": (t_max - t_min) if per_thread else 0,
+        "t_min": t_min or 0,
         "errors": errors,
     }
+
+
+def worker_pools(per_thread):
+    """Groups the pool.worker threads of analyze()'s per-thread list into
+    pools: a worker joins the current pool while its active window
+    overlaps the pool's window so far.  Returns lists ordered by start."""
+    workers = sorted((t for t in per_thread
+                      if t["name"].startswith("pool.worker")),
+                     key=lambda t: (t["first"], t["last"]))
+    pools, pool_end = [], None
+    for t in workers:
+        if pools and t["first"] < pool_end:
+            pools[-1].append(t)
+            pool_end = max(pool_end, t["last"])
+        else:
+            pools.append([t])
+            pool_end = t["last"]
+    return pools
+
+
+def imbalance(pool):
+    comp = [t["time"]["compute"] for t in pool]
+    return max(comp) - min(comp)
 
 
 def site_totals(threads, top):
@@ -259,11 +291,8 @@ def print_report(doc, threads, analysis, top):
         print("  %2d thread(s) computing: %s s  (%5.1f%% of wall)"
               % (k, fmt_s(ns).strip(), 100.0 * ns / wall if wall else 0.0))
 
-    workers = [t for t in analysis["threads"]
-               if t["name"].startswith("pool.worker")]
-    pool = workers if workers else analysis["threads"]
-    comp = [t["time"]["compute"] for t in pool]
-    imbalance = (max(comp) - min(comp)) if comp else 0
+    pools = worker_pools(analysis["threads"])
+    worst = max((imbalance(p) for p in pools), default=0)
 
     print("\nspeedup decomposition:")
     print("  wall clock:        %s s" % fmt_s(wall).strip())
@@ -277,9 +306,16 @@ def print_report(doc, threads, analysis, top):
     if busy:
         print("  avg parallelism:   %10.2f   (while any compute ran)"
               % (weighted / busy))
-    print("  worker imbalance:  %s s  (max-min compute%s)"
-          % (fmt_s(imbalance).strip(),
-             "" if workers else "; no pool workers in trace"))
+    print("  worker imbalance:  %s s  (max-min compute within a pool; %s)"
+          % (fmt_s(worst).strip(),
+             "%d pool(s)" % len(pools) if pools
+             else "no pool workers in trace"))
+    for i, p in enumerate(pools):
+        print("    pool %d: %d worker(s), [%s, %s] s, imbalance %s s"
+              % (i, len(p), fmt_s(p[0]["first"] - analysis["t_min"]).strip(),
+                 fmt_s(max(t["last"] for t in p)
+                       - analysis["t_min"]).strip(),
+                 fmt_s(imbalance(p)).strip()))
     print("  commit/wait:       %s s" % fmt_s(totals["commit"]).strip())
     print("  idle (all threads):%s s" % fmt_s(totals["idle"]).strip())
     print("  thread cpu:        %s s  (sum of root-span thread CPU)"
