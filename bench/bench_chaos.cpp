@@ -287,8 +287,6 @@ int main(int argc, char** argv) {
   flags.define_int("invariant-sources", 96,
                    "forwarding-walk source nodes sampled per audit", 1,
                    1 << 24);
-  flags.define("strict", "true",
-               "oracle compares raw attributes (exact for GR algebras)");
   flags.define("trace-file", "",
                "write the structured event trace (JSONL) here");
   flags.define("scenario", "",
@@ -411,7 +409,6 @@ int main(int argc, char** argv) {
     spec.probe_gr_windows = flags.boolean("graceful-restart");
   }
   spec.invariants.max_sources = flags.u64("invariant-sources");
-  spec.oracle.strict_attrs = flags.boolean("strict");
 
   for (const std::size_t burst : bursts) {
     BurstRow row;

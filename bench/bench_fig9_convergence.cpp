@@ -170,9 +170,9 @@ int main(int argc, char** argv) {
   util::Rng rng(scenario.trial_seed);
 
   // Bounded convergence: a livelocked run fails loudly with diagnostics
-  // instead of spinning in run_until_quiescent forever.  Throws so a
-  // failure on a worker thread propagates through the pool join instead
-  // of exiting mid-flight under other workers.
+  // instead of spinning forever.  Throws so a failure on a worker thread
+  // propagates through the pool join instead of exiting mid-flight under
+  // other workers.
   const auto converge = [&tracer, tracing](engine::Simulator& sim,
                                            const std::string& what) {
     const chaos::WatchdogResult r = chaos::run_to_quiescence(

@@ -4,11 +4,14 @@
 // the provider-customer hierarchy / prefix alignment, not from peering.
 // This harness reproduces that sensitivity sweep.
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "dragon/efficiency.hpp"
 #include "stats/ccdf.hpp"
 #include "stats/table.hpp"
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 int main(int argc, char** argv) {
@@ -17,8 +20,30 @@ int main(int argc, char** argv) {
   bench::define_scenario_flags(flags);
   flags.define("extra-peering-pct", "25,50,100",
                "extra IXP peer links to add, as % of the original link "
-               "count (comma separated)");
+               "count (comma separated, each in [0, 1000])");
   if (!flags.parse(argc, argv)) return 1;
+
+  // Parse the percentage list before any work, so a typo fails fast.
+  std::vector<double> percents;
+  {
+    const std::string spec = flags.str("extra-peering-pct");
+    std::size_t pos = 0;
+    while (pos < spec.size()) {
+      const auto comma = spec.find(',', pos);
+      const auto field = spec.substr(pos, comma - pos);
+      const auto pct = util::parse_f64(field);
+      if (!pct || *pct < 0.0 || *pct > 1000.0) {
+        std::fprintf(stderr,
+                     "--extra-peering-pct: '%s' is not a percentage in "
+                     "[0, 1000]\n",
+                     field.c_str());
+        return 1;
+      }
+      percents.push_back(*pct);
+      if (comma == std::string::npos) break;
+      pos = comma + 1;
+    }
+  }
   flags.print_config("bench_peering_sensitivity");
 
   auto scenario = bench::build_scenario(flags);
@@ -37,20 +62,6 @@ int main(int argc, char** argv) {
                       "shift def (pp)", "shift agg (pp)"});
   table.add_row({"0 (baseline)", stats::format_number(100 * median_def),
                  stats::format_number(100 * median_agg), "0", "0"});
-
-  // Parse the percentage list.
-  std::vector<double> percents;
-  {
-    std::string spec = flags.str("extra-peering-pct");
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-      const auto comma = spec.find(',', pos);
-      const auto field = spec.substr(pos, comma - pos);
-      percents.push_back(std::strtod(field.c_str(), nullptr));
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
-  }
 
   util::Rng rng(scenario.trial_seed);
   for (double pct : percents) {

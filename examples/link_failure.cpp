@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "algebra/gr_path_algebra.hpp"
+#include "chaos/watchdog.hpp"
 #include "engine/simulator.hpp"
 #include "topology/graph.hpp"
 
@@ -82,12 +83,12 @@ int main() {
   const auto customer = GrPathAlgebra::make(algebra::GrClass::kCustomer, 0);
   sim.originate(bp("10"), u4, customer);     // p assigned to u4
   sim.originate(bp("10000"), u6, customer);  // q delegated to u6
-  sim.run_until_quiescent();
+  chaos::run_to_quiescence(sim);
   show(sim, "converged DRAGON state (Fig. 1 right)");
 
   std::printf("\n*** failing link {u4, u6} ***\n");
   sim.fail_link(u4, u6);
-  sim.run_until_quiescent();
+  chaos::run_to_quiescence(sim);
   show(sim, "after failure: u4 de-aggregated, u2 re-originates 10");
   std::printf("  de-aggregation events: %llu, aggregate originations: %llu\n",
               static_cast<unsigned long long>(sim.stats().deaggregations),
@@ -95,7 +96,7 @@ int main() {
 
   std::printf("\n*** repairing link {u4, u6} ***\n");
   sim.restore_link(u4, u6);
-  sim.run_until_quiescent();
+  chaos::run_to_quiescence(sim);
   show(sim, "after repair: p re-aggregated at u4");
   std::printf("  re-aggregation events: %llu\n",
               static_cast<unsigned long long>(sim.stats().reaggregations));

@@ -18,6 +18,23 @@ using prefix::Prefix;
 using topology::NodeId;
 using topology::Role;
 
+/// Pareto tail index for per-AS prefix counts; 0.86 reproduces the
+/// paper's median 2 / p95 33 / p99 159.
+constexpr double kParetoAlpha = 0.86;
+/// Probability that a stub's primary block is PI (from the registry pool)
+/// rather than PA (delegated by a provider).
+constexpr double kStubPiProbability = 0.45;
+/// Probability that an extra announcement is a fresh block rather than a
+/// traffic-engineering de-aggregate of an existing one.  0.72 reproduces
+/// the paper's ~50% parentless prefixes with ~83% of children sharing
+/// the parent's origin.
+constexpr double kExtraBlockProbability = 0.72;
+/// Probability that a registry lane slot is reserved but never
+/// announced; holes bound how much PI space aggregation prefixes can
+/// cover (tuned so the with-aggregation efficiency ceiling lands near
+/// the paper's 79%).
+constexpr double kPiHoleProbability = 0.15;
+
 /// Aligned bump allocation of a 2^(32-length) block inside `parent`,
 /// starting no earlier than *next.  Returns nullopt when the parent block
 /// is exhausted; on success advances *next past the allocation.
@@ -35,10 +52,10 @@ std::optional<Prefix> allocate_sub(const Prefix& parent, std::uint64_t* next,
   return Prefix(static_cast<Address>(start), length);
 }
 
-/// Discrete Pareto draw: P(X >= x) = x^-alpha, x >= 1, capped.
-std::uint32_t pareto_count(util::Rng& rng, double alpha, std::uint32_t cap) {
+/// Discrete Pareto draw: P(X >= x) = x^-kParetoAlpha, x >= 1, capped.
+std::uint32_t pareto_count(util::Rng& rng, std::uint32_t cap) {
   const double u = std::max(rng.uniform(), 1e-12);
-  const double x = std::pow(u, -1.0 / alpha);
+  const double x = std::pow(u, -1.0 / kParetoAlpha);
   return static_cast<std::uint32_t>(std::min<double>(x, cap));
 }
 
@@ -59,11 +76,9 @@ struct Pool {
 };
 
 /// Allocates a 2^(32-length) block from the pool's lane for that length,
-/// opening a fresh superblock (16 slots) when the lane runs dry.
-/// `hole_probability` models reserved-but-unannounced slots, which bound
-/// how much of the PI space aggregation prefixes can cover.
-std::optional<Prefix> pool_allocate(Pool& pool, int length, util::Rng& rng,
-                                    double hole_probability) {
+/// opening a fresh superblock (16 slots) when the lane runs dry, and
+/// skipping each slot with kPiHoleProbability.
+std::optional<Prefix> pool_allocate(Pool& pool, int length, util::Rng& rng) {
   auto& lane = pool.lanes[length];
   for (;;) {
     if (!lane.valid) {
@@ -79,7 +94,7 @@ std::optional<Prefix> pool_allocate(Pool& pool, int length, util::Rng& rng,
       lane.valid = false;
       continue;
     }
-    if (rng.chance(hole_probability)) continue;  // reserved hole
+    if (rng.chance(kPiHoleProbability)) continue;  // reserved hole
     return p;
   }
 }
@@ -146,7 +161,7 @@ Assignment generate_assignment(const topology::GeneratedTopology& topo,
                    ? 18 + static_cast<int>(rng.below(5))   // /18../22
                    : 12 + static_cast<int>(rng.below(6));  // /12../17
     }
-    return pool_allocate(pool, length, rng, params.pi_hole_probability);
+    return pool_allocate(pool, length, rng);
   };
 
   auto allocate_pa = [&](NodeId u) -> std::optional<Prefix> {
@@ -175,8 +190,7 @@ Assignment generate_assignment(const topology::GeneratedTopology& topo,
   // Per-AS announcement budget (heavy-tailed).
   std::vector<std::uint32_t> budget(n);
   for (NodeId u = 0; u < n; ++u) {
-    budget[u] = pareto_count(rng, params.pareto_alpha,
-                             params.max_prefixes_per_as);
+    budget[u] = pareto_count(rng, params.max_prefixes_per_as);
   }
 
   // Phase 1: primary blocks.  Node ids are ordered tier-1, transit, stub by
@@ -185,7 +199,7 @@ Assignment generate_assignment(const topology::GeneratedTopology& topo,
   for (NodeId u = 0; u < n; ++u) {
     std::optional<Prefix> block;
     if (topo.role[u] == Role::kStub &&
-        !rng.chance(params.stub_pi_probability)) {
+        !rng.chance(kStubPiProbability)) {
       block = allocate_pa(u);
     }
     if (!block) block = allocate_pi(u, /*primary=*/true);
@@ -198,7 +212,7 @@ Assignment generate_assignment(const topology::GeneratedTopology& topo,
   // de-aggregates of own space, occasionally fresh blocks.
   for (NodeId u = 0; u < n; ++u) {
     for (std::uint32_t k = 1; k < budget[u]; ++k) {
-      if (rng.chance(params.extra_block_probability)) {
+      if (rng.chance(kExtraBlockProbability)) {
         std::optional<Prefix> block;
         if (topo.role[u] != Role::kTier1 && rng.chance(0.5)) {
           block = allocate_pa(u);

@@ -31,23 +31,7 @@
 namespace dragon::addressing {
 
 struct AssignmentParams {
-  /// Pareto tail index for per-AS prefix counts; 0.86 reproduces the
-  /// paper's median 2 / p95 33 / p99 159.
-  double pareto_alpha = 0.86;
   std::uint32_t max_prefixes_per_as = 1000;
-  /// Probability that a stub's primary block is PI (from the registry pool)
-  /// rather than PA (delegated by a provider).
-  double stub_pi_probability = 0.45;
-  /// Probability that an extra announcement is a fresh block rather than a
-  /// traffic-engineering de-aggregate of an existing one.  0.72 reproduces
-  /// the paper's ~50% parentless prefixes with ~83% of children sharing
-  /// the parent's origin.
-  double extra_block_probability = 0.72;
-  /// Probability that a registry lane slot is reserved but never
-  /// announced; holes bound how much PI space aggregation prefixes can
-  /// cover (tuned so the with-aggregation efficiency ceiling lands near
-  /// the paper's 79%).
-  double pi_hole_probability = 0.15;
   /// Fraction of announcements that are injected dataset anomalies
   /// (multi-origin prefixes, children delegated outside the provider
   /// chain); 0 generates a clean-by-construction dataset.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <iterator>
 #include <map>
 #include <set>
@@ -31,6 +30,10 @@ static_assert(std::size(kFaultKindNames) ==
               "kFaultKindNames must name every FaultKind — update the table, "
               "FaultAction::to_json, parse_action, and schedule_plan together");
 
+/// Pads every drawn action time past `start`, and each restore past its
+/// failure, so a restore never collides with its own failure instant.
+constexpr double kMinGap = 0.05;
+
 }  // namespace
 
 const char* to_string(FaultKind kind) noexcept {
@@ -42,8 +45,9 @@ const char* to_string(FaultKind kind) noexcept {
 std::string FaultAction::to_json() const {
   char buf[128];
   std::string out;
-  std::snprintf(buf, sizeof(buf), "{\"t\":%.9g,\"kind\":\"%s\"", t,
-                to_string(kind));
+  // Shortest round-trip form: from_json replays the exact action times.
+  out += "{\"t\":" + util::format_f64(t);
+  std::snprintf(buf, sizeof(buf), ",\"kind\":\"%s\"", to_string(kind));
   out += buf;
   if (kind == FaultKind::kLinkFail || kind == FaultKind::kLinkRestore) {
     std::snprintf(buf, sizeof(buf), ",\"a\":%u,\"b\":%u", a, b);
@@ -127,7 +131,7 @@ struct JsonCursor {
     return true;
   }
   bool number_double(double& out) {
-    // %.9g emits an optional sign, digits, optional fraction and exponent.
+    // to_json emits a sign, digits, fraction and exponent, each optional.
     const auto v = util::parse_f64(token("0123456789+-.eE"));
     if (v) out = *v;
     return v.has_value();
@@ -325,11 +329,11 @@ FaultPlan generate_plan(const topology::Topology& topo,
 
   for (std::size_t e = 0; e < params.events; ++e) {
     const double t =
-        params.start + params.min_gap + rng.uniform() * params.horizon;
+        params.start + kMinGap + rng.uniform() * params.horizon;
     const bool restore =
         params.restore_prob > 0.0 && rng.chance(params.restore_prob);
     const double restore_at =
-        t + params.min_gap + rng.uniform() * params.restore_delay;
+        t + kMinGap + rng.uniform() * params.restore_delay;
 
     if (params.origin_flap_prob > 0.0 && !origins.empty() &&
         rng.chance(params.origin_flap_prob)) {

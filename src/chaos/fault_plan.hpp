@@ -113,12 +113,10 @@ struct FaultPlan {
 };
 
 struct PlanParams {
-  /// Actions are drawn uniformly in [start, start + horizon] and then
-  /// sorted; `min_gap` pads bursts apart so restores never collide with
-  /// their own failure instant.
+  /// Actions are drawn uniformly in [start, start + horizon], padded by a
+  /// fixed gap (fault_plan.cpp), and then sorted.
   double start = 0.0;
   double horizon = 60.0;
-  double min_gap = 0.05;
   /// Number of scheduled fault events (each may expand to many actions).
   std::size_t events = 8;
   /// Links per correlated failure burst (1 = independent failures).

@@ -3,9 +3,10 @@
 #include <map>
 #include <tuple>
 
+#include "chaos/watchdog.hpp"
+
 namespace dragon::chaos {
 
-using algebra::Attr;
 using algebra::kUnreachable;
 using engine::RouteEntry;
 using topology::NodeId;
@@ -13,13 +14,16 @@ using Prefix = prefix::Prefix;
 
 namespace {
 
+/// Cap on reported divergences.
+constexpr std::size_t kMaxMismatches = 16;
+
 /// Externally visible route state at one (node, prefix).  Vestigial
 /// entries (withdrawn routes that left an empty RouteEntry behind)
 /// normalise to the default-constructed value, which is also what a
 /// missing entry compares as — the two simulators need not agree on
 /// which empty entries exist.
 struct Cell {
-  std::uint32_t attr = kUnreachable;  // projected or raw elected attribute
+  std::uint32_t attr = kUnreachable;  // raw elected attribute
   bool filtered = false;
   bool fib = false;
   bool originates = false;
@@ -30,13 +34,11 @@ struct Cell {
 
 using State = std::map<std::pair<NodeId, Prefix>, Cell>;
 
-State collect(const engine::Simulator& sim, bool strict) {
+State collect(const engine::Simulator& sim) {
   State state;
   sim.for_each_route([&](NodeId u, const Prefix& p, const RouteEntry& e) {
     Cell c;
-    c.attr = e.elected == kUnreachable
-                 ? kUnreachable
-                 : (strict ? e.elected : sim.project_attr(e.elected));
+    c.attr = e.elected;
     c.filtered = e.elected != kUnreachable && e.filtered;
     c.fib = e.elected != kUnreachable && !e.filtered;
     c.originates = e.originated && !e.origin_paused;
@@ -69,10 +71,7 @@ std::string OracleResult::to_string() const {
   return out;
 }
 
-OracleResult differential_check(
-    const engine::Simulator& chaotic,
-    const std::vector<std::pair<Prefix, Attr>>& watches,
-    const OracleOptions& opts) {
+OracleResult differential_check(const engine::Simulator& chaotic) {
   OracleResult result;
 
   engine::Config cfg = chaotic.config();
@@ -90,11 +89,10 @@ OracleResult differential_check(
   // more-specific gets no event and never de-aggregates, whereas every
   // chaotic history reaches the same cut as "had the route, then lost
   // it" and does.  Phase one manufactures that shared history.
-  for (const auto& [root, attr] : watches) ref.watch_aggregate(root, attr);
   for (const auto& rec : chaotic.origin_records()) {
     ref.originate(rec.root, rec.origin, rec.attr);
   }
-  const WatchdogResult warm = run_to_quiescence(ref, opts.limits);
+  const WatchdogResult warm = run_to_quiescence(ref);
   if (!warm.quiescent) {
     result.mismatches.push_back(
         "reference full-topology phase did not converge:\n" +
@@ -108,7 +106,7 @@ OracleResult differential_check(
   // routes" — exactly what any chaotic crash history must also reach.
   for (const NodeId n : chaotic.down_nodes()) ref.crash_node(n);
 
-  const WatchdogResult run = run_to_quiescence(ref, opts.limits);
+  const WatchdogResult run = run_to_quiescence(ref);
   result.reference_quiescent = run.quiescent;
   if (!run.quiescent) {
     result.mismatches.push_back("reference run did not converge:\n" +
@@ -116,14 +114,14 @@ OracleResult differential_check(
     return result;
   }
 
-  const State a = collect(chaotic, opts.strict_attrs);
-  const State b = collect(ref, opts.strict_attrs);
+  const State a = collect(chaotic);
+  const State b = collect(ref);
   // Union compare: a key present on one side only mismatches against the
   // empty cell.
   auto ia = a.begin();
   auto ib = b.begin();
   while (ia != a.end() || ib != b.end()) {
-    if (result.mismatches.size() >= opts.max_mismatches) break;
+    if (result.mismatches.size() >= kMaxMismatches) break;
     if (ib == b.end() || (ia != a.end() && ia->first < ib->first)) {
       result.mismatches.push_back(describe(ia->first, ia->second, Cell{}));
       ++ia;

@@ -22,26 +22,11 @@
 #pragma once
 
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "chaos/fault_plan.hpp"
-#include "chaos/watchdog.hpp"
 #include "engine/simulator.hpp"
 
 namespace dragon::chaos {
-
-struct OracleOptions {
-  /// Compare raw attribute encodings instead of the projected
-  /// L-attribute.  Exact for GR-family algebras (the stable state is
-  /// unique); leave off for algebras where distinct-but-equivalent
-  /// encodings can be elected.
-  bool strict_attrs = true;
-  /// Budget for converging the reference simulator.
-  WatchdogLimits limits;
-  /// Cap on reported divergences.
-  std::size_t max_mismatches = 16;
-};
 
 struct OracleResult {
   bool match = false;
@@ -54,12 +39,11 @@ struct OracleResult {
 };
 
 /// Compares `chaotic` (already quiescent, after an arbitrary fault
-/// schedule) against a from-scratch run on the surviving network.
-/// `watches` re-registers any manual watch_aggregate() roots; automatic
-/// watches from surviving originations are recreated by origination.
-[[nodiscard]] OracleResult differential_check(
-    const engine::Simulator& chaotic,
-    const std::vector<std::pair<prefix::Prefix, algebra::Attr>>& watches = {},
-    const OracleOptions& opts = {});
+/// schedule) against a from-scratch run on the surviving network, cell by
+/// cell on the raw elected attribute: exact for GR-family algebras, whose
+/// stable state is unique.  Automatic watches from surviving originations
+/// are recreated by origination; manual watch_aggregate() roots are not
+/// modelled, so the chaotic simulator must not have any.
+[[nodiscard]] OracleResult differential_check(const engine::Simulator& chaotic);
 
 }  // namespace dragon::chaos

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "algebra/gadgets.hpp"
 #include "algebra/gr_path_algebra.hpp"
@@ -384,8 +383,83 @@ const char* to_string(ScenarioFamily f) noexcept {
   return "unknown";
 }
 
-std::optional<ScenarioSpec> ScenarioSpec::parse(std::string_view text) {
+namespace {
+
+/// The spec a bare family name parses to.
+ScenarioSpec family_defaults(ScenarioFamily family) {
   ScenarioSpec spec;
+  spec.family = family;
+  if (family == ScenarioFamily::kDamping) {
+    // A flap storm needs repeated hits on the same channel to build
+    // penalty; fewer prefixes and more events make that the common case.
+    spec.events = 10;
+    spec.prefixes = 3;
+  }
+  return spec;
+}
+
+/// A numeric spec key and the field it sets: a count or a real.
+struct Key {
+  std::string_view name;
+  std::size_t ScenarioSpec::*count = nullptr;
+  double ScenarioSpec::*real = nullptr;
+};
+
+constexpr Key kKeys[] = {
+    {"ring", &ScenarioSpec::ring},
+    {"tier1", &ScenarioSpec::tier1},
+    {"transit", &ScenarioSpec::transit},
+    {"stubs", &ScenarioSpec::stubs},
+    {"prefixes", &ScenarioSpec::prefixes},
+    {"events", &ScenarioSpec::events},
+    {"max-events", &ScenarioSpec::max_events},
+    {"sample-every", &ScenarioSpec::sample_every},
+    {"horizon", nullptr, &ScenarioSpec::horizon},
+    {"mrai", nullptr, &ScenarioSpec::mrai},
+    {"restore", nullptr, &ScenarioSpec::restore_prob},
+    {"penalty", nullptr, &ScenarioSpec::damp_penalty},
+    {"suppress", nullptr, &ScenarioSpec::damp_suppress},
+    {"reuse", nullptr, &ScenarioSpec::damp_reuse},
+    {"half-life", nullptr, &ScenarioSpec::damp_half_life},
+    {"jitter", nullptr, &ScenarioSpec::jitter},
+};
+
+const Key* find_key(std::string_view name) {
+  for (const Key& k : kKeys) {
+    if (k.name == name) return &k;
+  }
+  return nullptr;
+}
+
+/// The numeric keys a family reads, in print order.  The first
+/// `headline` always print; the rest print only when they differ from
+/// the family default.  A divergence spec prints its variant first.
+struct FamilyKeys {
+  std::size_t headline;
+  std::vector<std::string_view> keys;
+};
+
+FamilyKeys family_keys(ScenarioFamily family) {
+  switch (family) {
+    case ScenarioFamily::kDivergence:
+      return {1, {"ring", "max-events", "sample-every"}};
+    case ScenarioFamily::kLeak:
+    case ScenarioFamily::kHijack:
+      return {4, {"events", "prefixes", "horizon", "restore", "tier1",
+                  "transit", "stubs", "mrai"}};
+    case ScenarioFamily::kDamping:
+      return {4, {"events", "prefixes", "suppress", "half-life", "tier1",
+                  "transit", "stubs", "horizon", "mrai", "penalty", "reuse"}};
+    case ScenarioFamily::kJitter:
+      return {2, {"jitter", "events", "tier1", "transit", "stubs",
+                  "prefixes", "horizon", "mrai"}};
+  }
+  return {};
+}
+
+}  // namespace
+
+std::optional<ScenarioSpec> ScenarioSpec::parse(std::string_view text) {
   std::string_view fam = text;
   std::string_view rest;
   if (const auto colon = text.find(':'); colon != std::string_view::npos) {
@@ -393,23 +467,15 @@ std::optional<ScenarioSpec> ScenarioSpec::parse(std::string_view text) {
     rest = text.substr(colon + 1);
     if (rest.empty()) return std::nullopt;  // trailing colon, no keys
   }
-  if (fam == "divergence") {
-    spec.family = ScenarioFamily::kDivergence;
-  } else if (fam == "leak") {
-    spec.family = ScenarioFamily::kLeak;
-  } else if (fam == "hijack") {
-    spec.family = ScenarioFamily::kHijack;
-  } else if (fam == "damping") {
-    spec.family = ScenarioFamily::kDamping;
-    // A flap storm needs repeated hits on the same channel to build
-    // penalty; fewer prefixes and more events make that the common case.
-    spec.events = 10;
-    spec.prefixes = 3;
-  } else if (fam == "jitter") {
-    spec.family = ScenarioFamily::kJitter;
-  } else {
-    return std::nullopt;
+  std::optional<ScenarioSpec> parsed;
+  for (const ScenarioFamily f :
+       {ScenarioFamily::kDivergence, ScenarioFamily::kLeak,
+        ScenarioFamily::kHijack, ScenarioFamily::kDamping,
+        ScenarioFamily::kJitter}) {
+    if (fam == chaos::to_string(f)) parsed = family_defaults(f);
   }
+  if (!parsed) return std::nullopt;
+  ScenarioSpec& spec = *parsed;
 
   while (!rest.empty()) {
     const auto comma = rest.find(',');
@@ -421,88 +487,55 @@ std::optional<ScenarioSpec> ScenarioSpec::parse(std::string_view text) {
     if (eq == std::string_view::npos) return std::nullopt;
     const std::string_view key = tok.substr(0, eq);
     const std::string_view val = tok.substr(eq + 1);
-    const auto to_size = [val](std::size_t& out) {
-      const auto v = util::parse_u64(val);
-      if (v) out = *v;
-      return v.has_value();
-    };
-    const auto to_double = [val](double& out) {
-      const auto v = util::parse_f64(val);
-      if (v) out = *v;
-      return v.has_value();
-    };
-    bool good = true;
     if (key == "variant") {
+      if (val != "bad" && val != "disagree" && val != "benign" && val != "gr") {
+        return std::nullopt;
+      }
       spec.variant.assign(val);
-    } else if (key == "ring") {
-      good = to_size(spec.ring);
-    } else if (key == "tier1") {
-      good = to_size(spec.tier1);
-    } else if (key == "transit") {
-      good = to_size(spec.transit);
-    } else if (key == "stubs") {
-      good = to_size(spec.stubs);
-    } else if (key == "prefixes") {
-      good = to_size(spec.prefixes);
-    } else if (key == "events") {
-      good = to_size(spec.events);
-    } else if (key == "horizon") {
-      good = to_double(spec.horizon);
-    } else if (key == "mrai") {
-      good = to_double(spec.mrai);
-    } else if (key == "restore") {
-      good = to_double(spec.restore_prob);
-    } else if (key == "penalty") {
-      good = to_double(spec.damp_penalty);
-    } else if (key == "suppress") {
-      good = to_double(spec.damp_suppress);
-    } else if (key == "reuse") {
-      good = to_double(spec.damp_reuse);
-    } else if (key == "half-life") {
-      good = to_double(spec.damp_half_life);
-    } else if (key == "jitter") {
-      good = to_double(spec.jitter);
-    } else if (key == "max-events") {
-      good = to_size(spec.max_events);
-    } else if (key == "sample-every") {
-      good = to_size(spec.sample_every);
-    } else {
-      return std::nullopt;
+      continue;
     }
-    if (!good) return std::nullopt;
+    const Key* k = find_key(key);
+    if (k == nullptr) return std::nullopt;
+    if (k->count != nullptr) {
+      const auto v = util::parse_u64(val);
+      if (!v) return std::nullopt;
+      spec.*k->count = *v;
+    } else {
+      const auto v = util::parse_f64(val);
+      if (!v) return std::nullopt;
+      spec.*k->real = *v;
+    }
   }
   if (spec.ring == 0 || spec.events == 0 || spec.prefixes == 0 ||
       spec.max_events == 0 || spec.sample_every == 0) {
     return std::nullopt;
   }
-  return spec;
+  return parsed;
 }
 
 std::string ScenarioSpec::to_string() const {
-  char buf[256];
-  switch (family) {
-    case ScenarioFamily::kDivergence:
-      std::snprintf(buf, sizeof(buf), "divergence:variant=%s,ring=%zu",
-                    variant.c_str(), ring);
-      break;
-    case ScenarioFamily::kLeak:
-    case ScenarioFamily::kHijack:
-      std::snprintf(buf, sizeof(buf),
-                    "%s:events=%zu,prefixes=%zu,horizon=%g,restore=%g",
-                    chaos::to_string(family), events, prefixes, horizon,
-                    restore_prob);
-      break;
-    case ScenarioFamily::kDamping:
-      std::snprintf(buf, sizeof(buf),
-                    "damping:events=%zu,prefixes=%zu,suppress=%g,half-life=%g",
-                    events, prefixes, damp_suppress, damp_half_life);
-      break;
-    case ScenarioFamily::kJitter:
-      std::snprintf(buf, sizeof(buf), "jitter:jitter=%g,events=%zu", jitter,
-                    events);
-      break;
+  const ScenarioSpec def = family_defaults(family);
+  const FamilyKeys fk = family_keys(family);
+  std::string out = chaos::to_string(family);
+  char sep = ':';
+  if (family == ScenarioFamily::kDivergence) {
+    out += ":variant=" + variant;
+    sep = ',';
   }
-  return buf;
+  for (std::size_t i = 0; i < fk.keys.size(); ++i) {
+    const Key& k = *find_key(fk.keys[i]);
+    const bool is_default = k.count != nullptr
+                                ? this->*k.count == def.*k.count
+                                : this->*k.real == def.*k.real;
+    if (i >= fk.headline && is_default) continue;
+    out += sep;
+    out += k.name;
+    out += '=';
+    out += k.count != nullptr ? std::to_string(this->*k.count)
+                              : util::format_f64(this->*k.real);
+    sep = ',';
+  }
+  return out;
 }
 
 std::uint64_t ScenarioOutcome::digest() const {

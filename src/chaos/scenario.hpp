@@ -26,7 +26,7 @@
 //                                     wherever the victim's covering route
 //                                     is no worse, so its radius must not
 //                                     exceed plain BGP's).
-//   "damping:flaps=12"                route-flap damping sensitivity —
+//   "damping:events=12"               route-flap damping sensitivity —
 //                                     an origin-flap storm run twice
 //                                     (damping on/off), comparing update
 //                                     volume and suppression activity.
@@ -117,7 +117,9 @@ struct ScenarioSpec {
   /// keys, or malformed values, return nullopt.
   [[nodiscard]] static std::optional<ScenarioSpec> parse(std::string_view text);
 
-  /// Canonical spec string ("family:key=val,..." with family-relevant keys).
+  /// Canonical spec string: the family's headline keys, then every other
+  /// key it reads that differs from the family default (doubles in
+  /// shortest round-trip form), so parse() restores each of those fields.
   [[nodiscard]] std::string to_string() const;
 };
 

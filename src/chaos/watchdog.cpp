@@ -23,6 +23,11 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) noexcept {
   return h ^ (h >> 31);
 }
 
+/// Digest samples kept (ring buffer; the transient start falls off).
+constexpr std::size_t kMaxHistory = 1024;
+/// Full cycles the periodic signature must span before it counts.
+constexpr std::size_t kMinCycles = 3;
+
 struct Sample {
   std::uint64_t digest = 0;
   /// Nodes whose per-node digest differs from the previous sample.
@@ -55,19 +60,17 @@ std::uint64_t global_digest(const std::vector<std::uint64_t>& nodes) {
 
 /// Smallest period p whose trailing window of comparisons all satisfy
 /// h[j] == h[j-p]; 0 when no period fits the history.  The window spans
-/// at least min_cycles-1 full cycles AND at least kMinPeriodWindow
-/// comparisons: a small p checked over (min_cycles-1)*p samples alone
+/// at least kMinCycles-1 full cycles AND at least kMinPeriodWindow
+/// comparisons: a small p checked over (kMinCycles-1)*p samples alone
 /// would accept coincidental short repeats inside a longer true cycle
 /// (the RIB projection of the full protocol state revisits digests
 /// within one oscillation).
-std::size_t detect_period(const std::vector<Sample>& hist,
-                          std::size_t min_cycles) {
+std::size_t detect_period(const std::vector<Sample>& hist) {
   constexpr std::size_t kMinPeriodWindow = 32;
   const std::size_t len = hist.size();
-  if (min_cycles < 2) min_cycles = 2;
-  for (std::size_t p = 1; min_cycles * p <= len; ++p) {
+  for (std::size_t p = 1; kMinCycles * p <= len; ++p) {
     const std::size_t window =
-        std::min(len - p, std::max((min_cycles - 1) * p, kMinPeriodWindow));
+        std::min(len - p, std::max((kMinCycles - 1) * p, kMinPeriodWindow));
     bool ok = true;
     for (std::size_t j = len - window; j < len; ++j) {
       if (hist[j].digest != hist[j - p].digest) {
@@ -209,7 +212,7 @@ WatchdogResult run_to_quiescence(engine::Simulator& sim,
       }
       prev = std::move(cur);
       history.push_back(std::move(s));
-      if (history.size() > limits.max_history) history.erase(history.begin());
+      if (history.size() > kMaxHistory) history.erase(history.begin());
       ++result.samples;
     }
     // Budget exhaustion: the event budget is spent, or the run stopped
@@ -224,7 +227,7 @@ WatchdogResult run_to_quiescence(engine::Simulator& sim,
     return result;
   }
 
-  const std::size_t period = detect_period(history, limits.min_cycles);
+  const std::size_t period = detect_period(history);
   std::set<NodeId> members;
   if (period > 0) {
     for (std::size_t j = history.size() - period; j < history.size(); ++j) {

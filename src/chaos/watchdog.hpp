@@ -1,11 +1,10 @@
 // Convergence watchdog: bounded-time quiescence with loud diagnostics
 // and divergence classification.
 //
-// Every driver used to call Simulator::run_until_quiescent with a huge
-// horizon; a protocol that livelocks (a policy dispute, a §3.7
-// origination oscillation, or a chaos schedule with 100% message loss)
-// would spin there for minutes before anyone noticed.  The watchdog wraps
-// Simulator::run_bounded with both a sim-time horizon *relative to now()*
+// A protocol that livelocks (a policy dispute, a §3.7 origination
+// oscillation, or a chaos schedule with 100% message loss) would spin an
+// unbounded event loop for minutes before anyone noticed.  The watchdog
+// wraps Simulator::run_bounded with a sim-time horizon *relative to now()*
 // and an event-count budget, and when either budget trips it returns a
 // diagnostics string — sim time, events processed, queue depth, the
 // update counters, and the tail of the attached event tracer — instead
@@ -14,7 +13,7 @@
 // With WatchdogLimits::classify on, the run is additionally sliced into
 // event batches and a per-node digest of the whole RIB state is sampled
 // after each batch.  When a budget trips, the digest history is scanned
-// for the smallest period that repeats over `min_cycles` full cycles:
+// for the smallest period that repeats over kMinCycles full cycles:
 //   kConverged   — the queue drained (always reported when quiescent);
 //   kOscillating — the global state digest is periodic; the result
 //                  carries the period (in samples) and the set of nodes
@@ -58,10 +57,6 @@ struct WatchdogLimits {
   /// pairs), hence the odd-prime default.
   bool classify = false;
   std::size_t sample_every_events = 251;
-  /// Digest samples kept (ring buffer; the transient start falls off).
-  std::size_t max_history = 1024;
-  /// Full cycles the periodic signature must span before it counts.
-  std::size_t min_cycles = 3;
 };
 
 struct WatchdogResult {

@@ -33,14 +33,6 @@ const char* to_string(SessionState state) noexcept {
   return "unknown";
 }
 
-bool Simulator::channel_up(NodeId a, NodeId b) const {
-  if (!link_alive(a, b)) return false;
-  if (!config_.session.enabled) return true;
-  if (!node_up(a) || !node_up(b)) return false;
-  return peek_sess(a, b) == SessionState::kEstablished &&
-         peek_sess(b, a) == SessionState::kEstablished;
-}
-
 SessionState Simulator::peek_sess(NodeId u, NodeId v) const {
   const NeighborIo* nio = io_find(u, v);
   return nio == nullptr ? SessionState::kEstablished : nio->sess;
@@ -303,7 +295,7 @@ void Simulator::send_eor(NodeId u, NodeId v) {
   // Reliable control marker, delivered at the wire's deterministic upper
   // bound so it lands after every update of the refresh batch it closes.
   double delay = config_.link_delay * (1.0 + config_.link_delay_jitter);
-  if (config_.faults.delay_prob > 0.0) delay += config_.faults.extra_delay;
+  if (config_.faults.delay_prob > 0.0) delay += MessageFaults::kExtraDelay;
   queue_.schedule(queue_.now() + delay, [this, u, v, eu, ev] {
     if (sess_epoch(u, v) != eu || sess_epoch(v, u) != ev) return;
     if (!channel_up(u, v)) return;  // torn down in flight; cleanup ran there

@@ -1,7 +1,6 @@
 #include "engine/simulator.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "obs/span.hpp"
@@ -166,7 +165,7 @@ void Simulator::originate(const Prefix& p, NodeId origin, Attr attr) {
   // it.  Mutate only the configuration records — no RIB writes, no
   // re-election, nothing on the wire — and let restart_node() replay the
   // records through this function when the node returns.
-  const bool offline = config_.session.enabled && !node_up(origin);
+  const bool offline = !node_up(origin);
   // Re-announcing an origination that is already on record (overlapping
   // chaos flaps) refreshes the assignment in place; a duplicate record
   // would double-count delegations in every later rule-RA check.
@@ -219,7 +218,7 @@ void Simulator::originate(const Prefix& p, NodeId origin, Attr attr) {
   if (config_.enable_dragon) {
     for (const std::size_t i : gained_delegation) {
       OriginationRecord& ancestor = originations_[i];
-      if (config_.session.enabled && !node_up(ancestor.origin)) continue;
+      if (!node_up(ancestor.origin)) continue;
       dragon_check_ra(ancestor);
     }
   }
@@ -235,7 +234,7 @@ void Simulator::withdraw_origin(const Prefix& p, NodeId origin) {
   // node edits the configuration only.  The record must go now (or a
   // later restart would resurrect a returned prefix); the RIB of the
   // crashed node is dead or frozen and stays untouched.
-  const bool offline = config_.session.enabled && !node_up(origin);
+  const bool offline = !node_up(origin);
   if (!offline) {
     RouteEntry& entry = nodes_[origin].route(pid);
     entry.originated = false;
@@ -277,7 +276,7 @@ void Simulator::withdraw_origin(const Prefix& p, NodeId origin) {
   if (!still_watched) {
     for (NodeId u = 0; u < nodes_.size(); ++u) {
       // A crashed node's plane is dead or frozen; restart wipes it anyway.
-      if (config_.session.enabled && !node_up(u)) continue;
+      if (!node_up(u)) continue;
       const RouteEntry* re = nodes_[u].find(pid);
       if (re == nullptr || !re->originated || !re->origin_reagg) continue;
       RouteEntry& e = nodes_[u].route(pid);
@@ -308,7 +307,7 @@ void Simulator::withdraw_origin(const Prefix& p, NodeId origin) {
   if (config_.enable_dragon) {
     for (const std::size_t i : lost_delegation) {
       OriginationRecord& ancestor = originations_[i];
-      if (config_.session.enabled && !node_up(ancestor.origin)) continue;
+      if (!node_up(ancestor.origin)) continue;
       dragon_check_ra(ancestor);
     }
   }
@@ -339,10 +338,6 @@ void Simulator::stop_route_leak(NodeId n) {
   leak_reflush(n);
 }
 
-std::vector<topology::NodeId> Simulator::leaking_nodes() const {
-  return {leakers_.begin(), leakers_.end()};
-}
-
 void Simulator::leak_reflush(NodeId n) {
   // Every export decision of n may flip between leaked and withdrawn;
   // re-queue the whole table towards every live neighbour.
@@ -357,7 +352,7 @@ void Simulator::originate_rogue(const Prefix& p, NodeId origin, Attr attr) {
     DRAGON_LOG_WARN("originate_rogue(%u): no such node; ignored", origin);
     return;
   }
-  if (config_.session.enabled && !node_up(origin)) {
+  if (!node_up(origin)) {
     DRAGON_LOG_WARN("originate_rogue(%u): node is down; ignored", origin);
     return;
   }
@@ -372,18 +367,13 @@ void Simulator::originate_rogue(const Prefix& p, NodeId origin, Attr attr) {
 
 void Simulator::withdraw_rogue(const Prefix& p, NodeId origin) {
   if (rogues_.erase({p, origin}) == 0) return;
-  if (config_.session.enabled && !node_up(origin)) return;
+  if (!node_up(origin)) return;
   const PrefixId pid = interner_.intern(p);
   RouteEntry& entry = nodes_[origin].route(pid);
   entry.originated = false;
   entry.origin_attr = kUnreachable;
   entry.origin_paused = false;
   reelect_and_react(origin, pid);
-}
-
-std::vector<std::pair<prefix::Prefix, topology::NodeId>>
-Simulator::rogue_origins() const {
-  return {rogues_.begin(), rogues_.end()};
 }
 
 void Simulator::fail_link(NodeId a, NodeId b) {
@@ -457,10 +447,6 @@ void Simulator::restore_link(NodeId a, NodeId b) {
         [&nio](PrefixId p, const RouteEntry&) { nio.pending.insert(p); });
     try_flush(u, v);
   }
-}
-
-std::size_t Simulator::run_until_quiescent(Time max_time) {
-  return run_bounded(max_time, std::numeric_limits<std::size_t>::max()).events;
 }
 
 Simulator::RunResult Simulator::run_bounded(Time max_time,
@@ -688,13 +674,9 @@ void Simulator::restore(const Snapshot& snap) {
 
 void Simulator::deliver(NodeId to, NodeId from, PrefixId p,
                         std::optional<Attr> wire, std::uint64_t seq) {
-  if (config_.session.enabled) {
-    // The TCP session under the message died with the channel: anything in
-    // flight to/from a crashed node or across a torn-down session is lost.
-    if (!channel_up(to, from)) return;
-  } else if (!link_alive(to, from)) {
-    return;  // failed while in flight
-  }
+  // Lost with the link, or (session layer) with a crashed endpoint or a
+  // torn-down session under the message.
+  if (!channel_up(to, from)) return;
   NeighborIo& nio = io(to, from);
   // Sequence guard: per-(neighbour, prefix) newest-wins.  A reordered
   // older message (chaos extra delay, or in flight across a fast
@@ -709,11 +691,10 @@ void Simulator::deliver(NodeId to, NodeId from, PrefixId p,
     return;
   }
   rx = seq;
-  if (config_.session.enabled) {
-    // Graceful restart: a refreshed prefix is no longer stale (RFC 4724's
-    // "replace stale route on update").  The remainder is swept at EoR.
-    if (!nio.stale.empty() && nio.stale.erase(p)) g_stale_->add(-1.0);
-  }
+  // Graceful restart: a refreshed prefix is no longer stale (RFC 4724's
+  // "replace stale route on update").  The remainder is swept at EoR.
+  // Nothing is stale while the session layer is disabled.
+  if (!nio.stale.empty() && nio.stale.erase(p)) g_stale_->add(-1.0);
   DRAGON_TRACE_EVENT(tracer_, queue_.now(),
                      wire ? obs::EventKind::kRecvAnnounce
                           : obs::EventKind::kRecvWithdraw,
@@ -887,9 +868,7 @@ void Simulator::mark_pending(NodeId u, PrefixId p) {
   const auto nbrs = topo_.neighbors(u);
   for (std::size_t s = 0; s < nbrs.size(); ++s) {
     const NodeId v = nbrs[s].id;
-    if (config_.session.enabled ? !channel_up(u, v) : !link_alive(u, v)) {
-      continue;
-    }
+    if (!channel_up(u, v)) continue;
     nodes_[u].io[s].pending.insert(p);
     try_flush(u, v);
   }
@@ -1025,7 +1004,7 @@ void Simulator::schedule_delivery(NodeId from, NodeId to, PrefixId p,
   double delay = config_.link_delay * jitter;
   if (config_.faults.delay_prob > 0.0 &&
       msg_rng_.chance(config_.faults.delay_prob)) {
-    delay += config_.faults.extra_delay * msg_rng_.uniform();
+    delay += MessageFaults::kExtraDelay * msg_rng_.uniform();
   }
   queue_.schedule(queue_.now() + delay, [this, from, to, p, wire, seq] {
     deliver(to, from, p, wire, seq);
@@ -1040,10 +1019,8 @@ void Simulator::drop_and_retry(NodeId u, NodeId v, PrefixId p) {
   // An observed loss is the session layer's signal that keepalives share
   // the channel's fate: maybe this hold window eats them all.
   session_on_loss(u, v);
-  queue_.schedule(queue_.now() + config_.faults.retransmit, [this, u, v, p] {
-    if (config_.session.enabled ? !channel_up(u, v) : !link_alive(u, v)) {
-      return;  // session reset resynced the peer
-    }
+  queue_.schedule(queue_.now() + MessageFaults::kRetransmit, [this, u, v, p] {
+    if (!channel_up(u, v)) return;  // session reset resynced the peer
     io(u, v).pending.insert(p);
     try_flush(u, v);
   });

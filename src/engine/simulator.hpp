@@ -50,25 +50,21 @@ namespace dragon::engine {
 
 /// Probabilistic message faults on the wire (the chaos subsystem's send-path
 /// seam, src/chaos/).  Loss models a transport-level drop followed by an
-/// eventual retransmission — the prefix is re-flushed `retransmit` seconds
+/// eventual retransmission — the prefix is re-flushed kRetransmit seconds
 /// later — so a lossy run still converges to the fault-free stable state
 /// (the differential oracle relies on this).  Duplication re-delivers the
-/// same message with independent jitter; `delay_prob`/`extra_delay` add
+/// same message with independent jitter; `delay_prob`/kExtraDelay add
 /// reorder-inducing one-way latency, which the per-(neighbour, prefix)
 /// sequence guard in the receive path keeps semantically in-order.  All
 /// draws come from a dedicated RNG stream forked from the simulator seed,
 /// so fault patterns replay exactly and zeroed probabilities consume no
 /// randomness (bit-identical to a fault-free run).
 struct MessageFaults {
+  static constexpr double kExtraDelay = 0.5;  ///< max extra delay, seconds
+  static constexpr double kRetransmit = 0.1;  ///< re-flush delay after loss
   double loss = 0.0;        ///< P(outgoing update dropped, retransmitted)
   double duplicate = 0.0;   ///< P(update delivered twice)
   double delay_prob = 0.0;  ///< P(extra one-way delay added)
-  double extra_delay = 0.5; ///< max extra delay, seconds (uniform draw)
-  double retransmit = 0.1;  ///< delay before a lost update is re-flushed
-
-  [[nodiscard]] bool any() const noexcept {
-    return loss > 0.0 || duplicate > 0.0 || delay_prob > 0.0;
-  }
 };
 
 /// RFC 2439-style route-flap damping, applied per (node, neighbour,
@@ -190,9 +186,6 @@ class Simulator {
   /// the leak_mask hook or for an invalid node; idempotent.
   void start_route_leak(NodeId n);
   void stop_route_leak(NodeId n);
-  [[nodiscard]] bool leaking(NodeId n) const { return leakers_.contains(n); }
-  /// Currently leaking nodes, ascending.
-  [[nodiscard]] std::vector<NodeId> leaking_nodes() const;
 
   /// Originates p at `origin` *without* registering an origination record:
   /// an origin hijack — no delegation cross-links, no rule-RA audits, no
@@ -203,8 +196,6 @@ class Simulator {
   /// the assignment).
   void originate_rogue(const Prefix& p, NodeId origin, Attr attr);
   void withdraw_rogue(const Prefix& p, NodeId origin);
-  /// Active rogue originations, ordered (prefix, origin).
-  [[nodiscard]] std::vector<std::pair<Prefix, NodeId>> rogue_origins() const;
 
   /// Fails / restores the link between a and b (sessions reset).  Both are
   /// validated and idempotent: failing a link that does not exist in the
@@ -245,19 +236,16 @@ class Simulator {
     return eor_wait_.contains(n);
   }
 
-  /// Drains the event queue (or stops at max_time).  Returns the number of
-  /// events processed.
-  std::size_t run_until_quiescent(Time max_time = 1e7);
-
   struct RunResult {
     std::size_t events = 0;
     /// The queue drained; false when a budget stopped the run first.
     bool quiescent = false;
   };
-  /// Like run_until_quiescent, but additionally bounded by an event-count
-  /// budget, so a livelocked protocol run returns (quiescent = false)
-  /// instead of spinning until the sim-time horizon.  The convergence
-  /// watchdog (src/chaos/watchdog.hpp) wraps this with diagnostics.
+  /// The engine's run loop: drains the event queue until it is empty, the
+  /// next event lies past max_time, or max_events events have run, so a
+  /// livelocked protocol run returns (quiescent = false) instead of
+  /// spinning.  The convergence watchdog (src/chaos/watchdog.hpp) wraps
+  /// this with diagnostics.
   RunResult run_bounded(Time max_time, std::size_t max_events);
 
   /// Schedules an external callback at absolute sim time t (clamped to
@@ -450,8 +438,15 @@ class Simulator {
   // Session lifecycle (engine/session.cpp).
   /// Can protocol messages flow on (a, b)?  Link alive, both endpoints up,
   /// and (sessions enabled) both directions established.  Reduces to
-  /// link_alive when the session layer is disabled.
-  [[nodiscard]] bool channel_up(NodeId a, NodeId b) const;
+  /// link_alive when the session layer is disabled (nothing is ever down
+  /// then, and every session reads kEstablished).
+  [[nodiscard]] bool channel_up(NodeId a, NodeId b) const {
+    if (!link_alive(a, b)) return false;
+    if (!config_.session.enabled) return true;
+    return node_up(a) && node_up(b) &&
+           peek_sess(a, b) == SessionState::kEstablished &&
+           peek_sess(b, a) == SessionState::kEstablished;
+  }
   /// u's raw session state towards v (lazy io entries read as the default
   /// kEstablished), without the liveness semantics of session_state().
   [[nodiscard]] SessionState peek_sess(NodeId u, NodeId v) const;
@@ -552,7 +547,7 @@ class Simulator {
   std::vector<OriginationRecord> originations_;
   /// Roots watched for §3.7/§3.8 self-organised origination.
   std::vector<std::pair<Prefix, Attr>> agg_watch_;
-  /// Nodes currently leaking (ordered: leaking_nodes() is deterministic).
+  /// Nodes currently leaking.
   std::set<NodeId> leakers_;
   /// Active rogue (hijack) originations.
   std::set<std::pair<Prefix, NodeId>> rogues_;

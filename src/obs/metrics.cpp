@@ -320,13 +320,4 @@ std::string MetricsRegistry::to_json() const {
   return out;
 }
 
-bool MetricsRegistry::write_json(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = to_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size() &&
-                  std::fputc('\n', f) != EOF;
-  return std::fclose(f) == 0 && ok;
-}
-
 }  // namespace dragon::obs

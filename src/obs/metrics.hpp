@@ -151,8 +151,6 @@ class MetricsRegistry {
   ///    "histograms":{name:{count,sum,min,max,mean,p50,p90,p99,
   ///                        buckets:[{"lo":..,"hi":..,"n":..},...]},...}}
   [[nodiscard]] std::string to_json() const;
-  /// Writes to_json() to `path`; returns false on I/O failure.
-  bool write_json(const std::string& path) const;
 
  private:
   /// Debug-build single-writer check; 0 = unclaimed (first mutator claims).

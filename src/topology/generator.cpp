@@ -10,16 +10,28 @@ namespace {
 
 constexpr NodeId kNoNode = 0xFFFFFFFFu;
 
+/// Per-extra-provider continuation probability of the truncated-geometric
+/// multihoming draw (success p stops the draw; mean providers ~ 1/p).
+constexpr double kMultihomeStop = 0.45;
+constexpr std::uint32_t kMaxProviders = 6;
+/// Expected number of transit-transit peer links per transit AS.
+constexpr double kTransitPeeringDegree = 1.5;
+/// Probability that a provider or peer is drawn from the same region.
+constexpr double kSameRegionBias = 0.8;
+/// Probability that a regional AS connects under its region's hub
+/// transit (the "national incumbent"); aligns customer cones with the
+/// registry pools, which drives aggregation effectiveness (§3.7).
+constexpr double kHubBias = 0.6;
+
 /// Draws a provider for `node` among candidate transit-or-tier1 nodes,
 /// preferring the same region and attaching preferentially to nodes that
 /// already have many customers (heavy-tailed degrees).  Returns the chosen
 /// provider, avoiding duplicates with `existing`.
 NodeId pick_provider(const GeneratedTopology& gen,
                      const std::vector<NodeId>& candidates, NodeId node,
-                     const std::vector<NodeId>& existing, util::Rng& rng,
-                     double same_region_bias) {
+                     const std::vector<NodeId>& existing, util::Rng& rng) {
   const std::uint32_t my_region = gen.region[node];
-  const bool want_same_region = rng.chance(same_region_bias);
+  const bool want_same_region = rng.chance(kSameRegionBias);
   // Preferential attachment: weight 1 + current customer count.  Filter by
   // region on a first pass; fall back to all candidates if the region has
   // no eligible provider.
@@ -85,19 +97,18 @@ GeneratedTopology generate_internet(const GeneratorParams& params) {
     gen.role.push_back(Role::kTransit);
     const auto region = static_cast<std::uint32_t>(rng.below(params.regions));
     gen.region.push_back(region);
-    const std::uint64_t provider_count = rng.truncated_geometric(
-        params.multihome_stop, params.max_providers);
+    const std::uint64_t provider_count =
+        rng.truncated_geometric(kMultihomeStop, kMaxProviders);
     std::vector<NodeId> chosen;
     if (hub[region] == kNoNode) {
       hub[region] = u;  // the hub itself attaches straight to tier-1s
-    } else if (rng.chance(params.hub_bias)) {
+    } else if (rng.chance(kHubBias)) {
       chosen.push_back(hub[region]);
       gen.graph.add_provider_customer(hub[region], u);
     }
     for (std::uint64_t k = chosen.size(); k < provider_count; ++k) {
       const auto& pool = hub[region] == u ? tier1 : transit_or_tier1;
-      const NodeId p = pick_provider(gen, pool, u, chosen, rng,
-                                     params.same_region_bias);
+      const NodeId p = pick_provider(gen, pool, u, chosen, rng);
       if (p == u) break;
       chosen.push_back(p);
       gen.graph.add_provider_customer(p, u);
@@ -114,15 +125,14 @@ GeneratedTopology generate_internet(const GeneratorParams& params) {
     gen.role.push_back(Role::kStub);
     gen.region.push_back(
         static_cast<std::uint32_t>(rng.below(params.regions)));
-    const std::uint64_t provider_count = rng.truncated_geometric(
-        params.multihome_stop, params.max_providers);
+    const std::uint64_t provider_count =
+        rng.truncated_geometric(kMultihomeStop, kMaxProviders);
     std::vector<NodeId> chosen;
     for (std::uint64_t k = 0; k < provider_count; ++k) {
       // Mostly transit providers, occasionally direct tier-1 connections.
       const auto& pool =
           (!transits.empty() && !rng.chance(0.05)) ? stub_candidates : tier1;
-      const NodeId p =
-          pick_provider(gen, pool, u, chosen, rng, params.same_region_bias);
+      const NodeId p = pick_provider(gen, pool, u, chosen, rng);
       if (p == u) break;
       chosen.push_back(p);
       gen.graph.add_provider_customer(p, u);
@@ -133,23 +143,22 @@ GeneratedTopology generate_internet(const GeneratorParams& params) {
       gen.graph.add_provider_customer(rng.pick(tier1), u);
     } else if (const NodeId h = hub[gen.region[u]];
                h != kNoNode && !gen.graph.linked(h, u) &&
-               rng.chance(params.hub_bias) && h != u) {
+               rng.chance(kHubBias) && h != u) {
       gen.graph.add_provider_customer(h, u);
     }
   }
 
   // Transit-transit peering, biased to same region.
-  if (!transits.empty() && params.transit_peering_degree > 0.0) {
+  if (!transits.empty()) {
     const auto target = static_cast<std::size_t>(
-        params.transit_peering_degree * static_cast<double>(transits.size()) /
-        2.0);
+        kTransitPeeringDegree * static_cast<double>(transits.size()) / 2.0);
     std::size_t added = 0;
     std::size_t attempts = 0;
     const std::size_t max_attempts = target * 20 + 100;
     while (added < target && attempts++ < max_attempts) {
       const NodeId a = rng.pick(transits);
       NodeId b = rng.pick(transits);
-      if (rng.chance(params.same_region_bias)) {
+      if (rng.chance(kSameRegionBias)) {
         // Retry a few times for a same-region partner.
         for (int t = 0; t < 4 && gen.region[b] != gen.region[a]; ++t) {
           b = rng.pick(transits);

@@ -30,18 +30,6 @@ struct GeneratorParams {
   std::uint32_t transit_count = 150;
   std::uint32_t stub_count = 840;
   std::uint32_t regions = 5;
-  /// Per-extra-provider continuation probability of the truncated-geometric
-  /// multihoming draw (success p stops the draw; mean providers ~ 1/p).
-  double multihome_stop = 0.45;
-  std::uint32_t max_providers = 6;
-  /// Expected number of transit-transit peer links per transit AS.
-  double transit_peering_degree = 1.5;
-  /// Probability that a provider or peer is drawn from the same region.
-  double same_region_bias = 0.8;
-  /// Probability that a regional AS connects under its region's hub
-  /// transit (the "national incumbent"); aligns customer cones with the
-  /// registry pools, which drives aggregation effectiveness (§3.7).
-  double hub_bias = 0.6;
   std::uint64_t seed = 1;
 };
 

@@ -60,6 +60,7 @@ class Flags {
   [[nodiscard]] bool parse(int argc, char** argv);
 
   [[nodiscard]] std::string str(std::string_view name) const;
+  /// The value of a define_int flag (i64/u64 throw for any other flag).
   [[nodiscard]] std::int64_t i64(std::string_view name) const;
   [[nodiscard]] std::uint64_t u64(std::string_view name) const;
   [[nodiscard]] double f64(std::string_view name) const;

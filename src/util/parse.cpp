@@ -33,4 +33,10 @@ std::optional<double> parse_f64(std::string_view s) {
   return v;
 }
 
+std::string format_f64(double v) {
+  char buf[32];  // the longest shortest form is 24 characters
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, res.ptr);
+}
+
 }  // namespace dragon::util

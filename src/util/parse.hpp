@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
 
 namespace dragon::util {
@@ -18,5 +19,8 @@ namespace dragon::util {
 [[nodiscard]] std::optional<std::uint64_t> parse_u64(std::string_view s);
 /// Finite values only.
 [[nodiscard]] std::optional<double> parse_f64(std::string_view s);
+
+/// The shortest text that parse_f64 reads back as exactly `v` (finite v).
+[[nodiscard]] std::string format_f64(double v);
 
 }  // namespace dragon::util

@@ -187,6 +187,36 @@ TEST(FaultPlan, FuzzedAdversarialPlansRoundTripAndReplayNetState) {
   EXPECT_TRUE(saw_hijack) << "hijack_prob=0.3 never drew a hijack in 30 plans";
 }
 
+TEST(FaultPlan, GeneratedPlanTimesRoundTripExactly) {
+  // Generated action times are arbitrary doubles.  The JSON must carry
+  // every bit of them, or a violation report's plan replays its faults a
+  // few nanoseconds off, against MRAI and session timers that did not move.
+  topology::GeneratorParams tparams;
+  tparams.tier1_count = 4;
+  tparams.transit_count = 30;
+  tparams.stub_count = 100;
+  const auto gen = topology::generate_internet(tparams);
+  const std::vector<OriginSpec> origins{
+      {bp("10"), gen.graph.stubs().front(), kCust}};
+  PlanParams params;
+  params.origin_flap_prob = 0.2;
+  params.node_fault_prob = 0.2;
+  params.crash_prob = 0.2;
+  std::size_t checked = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const FaultPlan plan = generate_plan(gen.graph, origins, params, seed);
+    const auto parsed = FaultPlan::from_json(plan.to_json());
+    ASSERT_TRUE(parsed.has_value()) << plan.to_json();
+    ASSERT_EQ(parsed->actions.size(), plan.actions.size());
+    for (std::size_t i = 0; i < plan.actions.size(); ++i) {
+      EXPECT_EQ(parsed->actions[i].t, plan.actions[i].t)
+          << "seed " << seed << " action " << i;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 100u);
+}
+
 TEST(FaultPlan, ZeroAdversarialProbsLeavePlansBitIdentical) {
   // Like crash_prob: disabled leak/hijack branches must not consume
   // randomness, or every pre-existing seeded schedule would change.

@@ -59,6 +59,56 @@ TEST(ScenarioSmoke, SpecParsesFamiliesAndKnobs) {
   EXPECT_EQ(reparsed->to_string(), s.to_string());
 }
 
+TEST(ScenarioSmoke, SpecRoundTripsEveryKeyItsFamilyReads) {
+  // Each spec sets every key its family reads, none at the family default,
+  // with doubles that %g would round.
+  const char* full[] = {
+      "divergence:variant=gr,ring=5,max-events=1234,sample-every=7",
+      "leak:events=3,prefixes=5,horizon=30.123456789,restore=0.3,tier1=4,"
+      "transit=20,stubs=80,mrai=0.1",
+      "hijack:events=2,prefixes=7,horizon=12.5,restore=0.25,tier1=2,"
+      "transit=15,stubs=40,mrai=0.5",
+      "damping:events=6,prefixes=2,suppress=2.25,half-life=3.3333333333,"
+      "tier1=4,transit=16,stubs=70,horizon=20,mrai=0.75,penalty=1.5,"
+      "reuse=0.6",
+      "jitter:jitter=0.123456789012,events=3,tier1=4,transit=12,stubs=50,"
+      "prefixes=4,horizon=45.5,mrai=2",
+  };
+  for (const char* text : full) {
+    const ScenarioSpec a = parse_or_die(text);
+    const auto b = ScenarioSpec::parse(a.to_string());
+    ASSERT_TRUE(b.has_value()) << a.to_string();
+    EXPECT_EQ(b->family, a.family) << text;
+    EXPECT_EQ(b->variant, a.variant) << text;
+    EXPECT_EQ(b->ring, a.ring) << text;
+    EXPECT_EQ(b->tier1, a.tier1) << text;
+    EXPECT_EQ(b->transit, a.transit) << text;
+    EXPECT_EQ(b->stubs, a.stubs) << text;
+    EXPECT_EQ(b->prefixes, a.prefixes) << text;
+    EXPECT_EQ(b->events, a.events) << text;
+    EXPECT_EQ(b->horizon, a.horizon) << text;
+    EXPECT_EQ(b->mrai, a.mrai) << text;
+    EXPECT_EQ(b->restore_prob, a.restore_prob) << text;
+    EXPECT_EQ(b->damp_penalty, a.damp_penalty) << text;
+    EXPECT_EQ(b->damp_suppress, a.damp_suppress) << text;
+    EXPECT_EQ(b->damp_reuse, a.damp_reuse) << text;
+    EXPECT_EQ(b->damp_half_life, a.damp_half_life) << text;
+    EXPECT_EQ(b->jitter, a.jitter) << text;
+    EXPECT_EQ(b->max_events, a.max_events) << text;
+    EXPECT_EQ(b->sample_every, a.sample_every) << text;
+  }
+  // Keys at their family default are not printed: the canonical strings
+  // of the bench's scenario specs keep their headline keys only.
+  EXPECT_EQ(parse_or_die("leak:events=2").to_string(),
+            "leak:events=2,prefixes=6,horizon=30,restore=0");
+  EXPECT_EQ(parse_or_die("damping:events=4").to_string(),
+            "damping:events=4,prefixes=3,suppress=2.5,half-life=4");
+  EXPECT_EQ(parse_or_die("jitter:events=2").to_string(),
+            "jitter:jitter=0.25,events=2");
+  EXPECT_EQ(parse_or_die("divergence:variant=disagree,ring=2").to_string(),
+            "divergence:variant=disagree,ring=2");
+}
+
 TEST(ScenarioSmoke, SpecRejectsMalformedText) {
   const char* bad[] = {
       "",           "bogus",          "divergence:",      "leak:events",
@@ -69,6 +119,8 @@ TEST(ScenarioSmoke, SpecRejectsMalformedText) {
       "jitter:jitter=nan",  "leak:horizon=1e999", "leak:horizon=inf",
       "leak:mrai=0.5x",     "leak:events=-1",     "leak:events=+3",
       "leak:events=18446744073709551617",
+      // Only the four gadget variants exist.
+      "divergence:variant=foo",
   };
   for (const char* s : bad) {
     EXPECT_FALSE(ScenarioSpec::parse(s).has_value()) << s;

@@ -8,9 +8,8 @@
 
 namespace dragon::testing {
 
-/// Converges the simulator under the chaos watchdog instead of an
-/// unbounded run_until_quiescent loop: a livelocked protocol fails the
-/// test with diagnostics instead of hanging the suite.
+/// Converges the simulator under the chaos watchdog: a livelocked
+/// protocol fails the test with diagnostics instead of hanging the suite.
 inline void quiesce(engine::Simulator& sim,
                     chaos::WatchdogLimits limits = {1e7, 2'000'000}) {
   const chaos::WatchdogResult r = chaos::run_to_quiescence(sim, limits);

@@ -110,7 +110,7 @@ TEST(Rng, ForkIndependentButDeterministic) {
 
 TEST(Flags, ParsesAllForms) {
   util::Flags flags;
-  flags.define("nodes", "100", "node count");
+  flags.define_int("nodes", 100, "node count");
   flags.define("rate", "0.5", "a rate");
   flags.define("verbose", "false", "chatty");
   flags.define("name", "x", "a name");
@@ -141,10 +141,23 @@ TEST(Flags, RejectsUnknownFlag) {
 
 TEST(Flags, DefaultsApplyWithoutArgs) {
   util::Flags flags;
-  flags.define("seed", "7", "");
+  flags.define_int("seed", 7, "");
+  flags.define("name", "x", "");
   const char* argv[] = {"prog"};
   ASSERT_TRUE(flags.parse(1, const_cast<char**>(argv)));
   EXPECT_EQ(flags.i64("seed"), 7);
+  EXPECT_EQ(flags.str("name"), "x");
+}
+
+TEST(Flags, IntegerReadOfUntypedFlagThrows) {
+  // An untyped flag is never validated, so reading it as an integer would
+  // turn "abc" into 0; only define_int flags have integer values.
+  util::Flags flags;
+  flags.define("cap", "4000", "");
+  const char* argv[] = {"prog", "--cap", "abc"};
+  ASSERT_TRUE(flags.parse(3, const_cast<char**>(argv)));
+  EXPECT_THROW((void)flags.i64("cap"), std::out_of_range);
+  EXPECT_THROW((void)flags.u64("cap"), std::out_of_range);
 }
 
 TEST(Flags, UndeclaredLookupThrows) {
